@@ -11,12 +11,7 @@ namespace T = reffil::tensor;
 LwfMethod::LwfMethod(MethodConfig config, LwfConfig lwf)
     : MethodBase("FedLwF", std::move(config)), lwf_(lwf) {
   init_workers();
-  teachers_.reserve(config_.parallelism);
-  for (std::size_t slot = 0; slot < config_.parallelism; ++slot) {
-    util::Rng rng(config_.seed ^ 0x7EAC4E2ULL);
-    teachers_.push_back(std::make_unique<nn::PromptNet>(config_.net, rng));
-  }
-  teacher_loaded_.assign(config_.parallelism, false);
+  teachers_.resize(config_.parallelism);
 }
 
 void LwfMethod::on_task_start(std::size_t task) {
@@ -25,7 +20,7 @@ void LwfMethod::on_task_start(std::size_t task) {
     // Snapshot the converged previous-task global model as the teacher.
     teacher_state_ = global_state_;
     have_teacher_ = true;
-    teacher_loaded_.assign(config_.parallelism, false);
+    for (Teacher& teacher : teachers_) teacher.loaded = false;
   }
 }
 
@@ -35,13 +30,16 @@ void LwfMethod::write_broadcast_extras(util::ByteWriter& writer) {
 }
 
 void LwfMethod::read_broadcast_extras(util::ByteReader& reader, std::size_t slot) {
-  const bool teacher_present = reader.read_u32() != 0;
-  if (teacher_present) {
+  Teacher& teacher = teachers_[slot];
+  teacher.loaded = false;
+  if (reader.read_u32() != 0) {
     const fed::ModelState state = fed::deserialize_state(reader);
-    teachers_[slot]->load(state);
-    teacher_loaded_[slot] = true;
-  } else {
-    teacher_loaded_[slot] = false;
+    if (!teacher.net) {
+      util::Rng rng(config_.seed ^ 0x7EAC4E2ULL);
+      teacher.net = std::make_unique<nn::PromptNet>(config_.net, rng);
+    }
+    teacher.net->load(state);
+    teacher.loaded = true;
   }
   MethodBase::read_broadcast_extras(reader, slot);  // checks exhaustion
 }
@@ -53,10 +51,11 @@ AG::Var LwfMethod::batch_loss(Replica& rep,
   for (std::size_t i = 0; i < batch.size(); ++i) {
     const auto out = rep.net.forward(batch[i].sample->image);
     AG::Var loss = AG::cross_entropy_logits(out.logits, {batch[i].sample->label});
-    if (teacher_loaded_[slot]) {
+    if (teachers_[slot].loaded) {
       // Teacher probabilities are treated as constants; only the student's
       // graph receives gradients.
-      const auto teacher_out = teachers_[slot]->forward(batch[i].sample->image);
+      const auto teacher_out =
+          teachers_[slot].net->forward(batch[i].sample->image);
       const T::Tensor teacher_probs = T::softmax_rows(T::mul_scalar(
           teacher_out.logits->value(), 1.0f / lwf_.temperature));
       loss = AG::add(loss, AG::mul_scalar(AG::distillation_loss(

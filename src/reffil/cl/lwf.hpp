@@ -35,9 +35,13 @@ class LwfMethod : public MethodBase {
   LwfConfig lwf_;
   bool have_teacher_ = false;
   fed::ModelState teacher_state_;
-  /// Per-worker frozen teacher replicas (loaded from broadcast extras).
-  std::vector<std::unique_ptr<nn::PromptNet>> teachers_;
-  std::vector<bool> teacher_loaded_;
+  /// Per-worker frozen teacher replica, built on the slot's first teacher
+  /// broadcast (like MethodBase::replica) and loaded from the extras.
+  struct Teacher {
+    std::unique_ptr<nn::PromptNet> net;
+    bool loaded = false;
+  };
+  std::vector<Teacher> teachers_;
 };
 
 }  // namespace reffil::cl

@@ -2,6 +2,10 @@
 
 #include <algorithm>
 
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
+
 #include "reffil/autograd/ops.hpp"
 #include "reffil/tensor/ops.hpp"
 #include "reffil/util/error.hpp"
@@ -46,23 +50,42 @@ std::vector<autograd::Var> Replica::parameters() {
 
 MethodBase::MethodBase(std::string name, MethodConfig config)
     : name_(std::move(name)), config_(config) {
-  REFFIL_CHECK_MSG(config_.parallelism > 0, "method needs >= 1 worker");
+  config_.parallelism = fed::resolve_worker_slots(config_.parallelism);
   REFFIL_CHECK_MSG(config_.batch_size > 0, "batch size must be > 0");
+}
+
+MethodBase::~MethodBase() {
+  // Error-feedback residuals hold a model-sized delta for each of up to
+  // kMaxResiduals clients, allocated on whichever pool thread trained the
+  // client, so they spread over every malloc arena. Hand those pages back
+  // when they die; otherwise a process that runs many experiments keeps
+  // the high-water mark of every arena.
+  if (residuals_.empty()) return;
+  residuals_.clear();
+#if defined(__GLIBC__)
+  malloc_trim(0);
+#endif
 }
 
 std::unique_ptr<Replica> MethodBase::make_replica(util::Rng& rng) {
   return std::make_unique<Replica>(config_, rng);
 }
 
+std::unique_ptr<Replica> MethodBase::build_replica() {
+  // Every replica is built from the same seed so all workers (and the
+  // initial global state) share one initialisation; load() overwrites
+  // values before each use anyway.
+  util::Rng replica_rng(config_.seed ^ 0xC0FFEEULL);
+  return make_replica(replica_rng);
+}
+
 void MethodBase::init_workers() {
   REFFIL_CHECK_MSG(workers_.empty(), "init_workers called twice");
-  for (std::size_t slot = 0; slot < config_.parallelism; ++slot) {
-    // Every replica is built from the same seed so all workers (and the
-    // initial global state) share one initialisation; load() overwrites
-    // values before each use anyway.
-    util::Rng replica_rng(config_.seed ^ 0xC0FFEEULL);
-    workers_.push_back(make_replica(replica_rng));
-  }
+  // Only replica 0 is built here (it defines the initial global state);
+  // replica(slot) builds the rest on first use, so set-up cost does not
+  // grow with the slot count.
+  workers_.resize(config_.parallelism);
+  workers_.front() = build_replica();
   graph_cache_.assign(workers_.size(), {});
   global_state_ = workers_.front()->snapshot();
 }
@@ -120,6 +143,14 @@ bool MethodBase::train_step_replayed(Replica& rep,
 
 Replica& MethodBase::replica(std::size_t slot) {
   REFFIL_CHECK_MSG(slot < workers_.size(), "worker slot out of range");
+  // No lock: the vector is pre-sized and a slot runs on one thread at a
+  // time, so only this slot's caller ever touches workers_[slot]. Loading
+  // the global state makes a replica first built during evaluation match
+  // what prepare_eval() gave the others; training reloads the broadcast.
+  if (!workers_[slot]) {
+    workers_[slot] = build_replica();
+    workers_[slot]->load(global_state_);
+  }
   return *workers_[slot];
 }
 
@@ -456,7 +487,9 @@ void MethodBase::aggregate(const std::vector<fed::ClientUpdate>& updates) {
 }
 
 void MethodBase::prepare_eval() {
-  for (auto& worker : workers_) worker->load(global_state_);
+  for (auto& worker : workers_) {
+    if (worker) worker->load(global_state_);
+  }
 }
 
 std::size_t MethodBase::predict(std::size_t worker_slot,

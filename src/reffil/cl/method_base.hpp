@@ -25,7 +25,9 @@ namespace reffil::cl {
 
 struct MethodConfig {
   nn::PromptNetConfig net;
-  std::size_t parallelism = 4;   ///< number of worker replicas
+  /// Worker slots (replicas); 0 = one per global_thread_pool() thread
+  /// (fed::resolve_worker_slots). config() reports the resolved count.
+  std::size_t parallelism = 0;
   std::size_t batch_size = 16;
   float momentum = 0.9f;
   float clip_norm = 5.0f;  ///< global gradient clip (stability at few rounds)
@@ -59,6 +61,7 @@ class Replica {
 class MethodBase : public fed::Method {
  public:
   MethodBase(std::string name, MethodConfig config);
+  ~MethodBase() override;
 
   std::string name() const override { return name_; }
   void on_task_start(std::size_t task) override;
@@ -88,8 +91,8 @@ class MethodBase : public fed::Method {
   /// init_workers(), which subclass constructors must invoke.
   virtual std::unique_ptr<Replica> make_replica(util::Rng& rng);
 
-  /// Build the worker pool and the initial global state; must be called at
-  /// the end of every (most-derived) constructor.
+  /// Size the worker pool, build replica 0 and the initial global state;
+  /// must be called at the end of every (most-derived) constructor.
   void init_workers();
 
   // ---- extension hooks -------------------------------------------------------
@@ -163,6 +166,7 @@ class MethodBase : public fed::Method {
   /// task its domain was introduced in.
   static std::vector<TaggedSample> local_view(const fed::TrainJob& job);
 
+  /// The slot's replica, built on first use (see init_workers()).
   Replica& replica(std::size_t slot);
 
   std::string name_;
@@ -197,6 +201,9 @@ class MethodBase : public fed::Method {
       std::map<std::string, std::shared_ptr<autograd::graph::CapturedGraph>>>
       graph_cache_;
   static constexpr std::size_t kMaxGraphsPerSlot = 8;
+
+  /// A replica from the shared initialisation seed.
+  std::unique_ptr<Replica> build_replica();
 
   /// Fold the stored residual for `client_id` into `delta` (and spend it);
   /// a residual whose structure no longer matches is dropped instead.

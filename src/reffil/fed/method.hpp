@@ -21,9 +21,14 @@ namespace reffil::fed {
 
 struct CompressionConfig;
 
+/// Number of worker slots for a `parallelism` setting: 0 means one slot per
+/// global_thread_pool() thread. The runner and every method resolve through
+/// this one function, so their default slot counts always agree.
+std::size_t resolve_worker_slots(std::size_t parallelism);
+
 /// One client's local-training assignment for a round.
 struct TrainJob {
-  std::size_t worker_slot = 0;  ///< replica index, [0, parallelism)
+  std::size_t worker_slot = 0;  ///< replica index, [0, resolved slots)
   std::size_t client_id = 0;
   std::size_t task = 0;         ///< current incremental task (0-based)
   std::size_t round = 0;        ///< communication round within the task

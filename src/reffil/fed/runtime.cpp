@@ -1,5 +1,6 @@
 #include "reffil/fed/runtime.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <numeric>
@@ -14,6 +15,133 @@
 #include "reffil/util/thread_pool.hpp"
 
 namespace reffil::fed {
+
+namespace {
+
+/// What train_participants() produced; entry i answers for participant i.
+struct TrainedClients {
+  std::vector<ClientUpdate> updates;
+  std::vector<double> seconds;     ///< wall time of each client's training
+  std::vector<std::size_t> slots;  ///< worker slot that trained each client
+};
+
+/// Train every participant on `slots` worker slots. Jobs are sorted by local
+/// work (the MethodBase::local_view size), largest first, and each slot pulls
+/// the next one from a shared index, so the slowest client starts first and
+/// no slot idles while another has a backlog. A client's update depends only
+/// on the broadcast and its job, never on its slot, and callers meter and
+/// aggregate in their own order, so placement cannot change a result.
+TrainedClients train_participants(
+    Method& method, const std::vector<std::uint8_t>& broadcast,
+    const std::vector<ClientAssignment>& participants,
+    const std::vector<std::vector<data::Dataset>>& shards,
+    const data::DatasetSpec& spec, std::size_t task, std::size_t round,
+    std::size_t slots) {
+  const std::size_t n = participants.size();
+  std::vector<TrainJob> jobs(n);
+  std::vector<std::size_t> work(n, 0);
+  for (std::size_t i = 0; i < n; ++i) {
+    const ClientAssignment& assignment = participants[i];
+    TrainJob& job = jobs[i];
+    job.client_id = assignment.client_id;
+    job.task = task;
+    job.round = round;
+    job.total_rounds = spec.rounds_per_task;
+    job.group = assignment.group;
+    job.local_epochs = spec.local_epochs;
+    job.learning_rate = spec.learning_rate;
+    if (task == 0 || assignment.group != ClientGroup::kOld) {
+      job.new_data = &shards[task][assignment.shard];
+    }
+    if (task > 0 && assignment.group != ClientGroup::kNew) {
+      job.old_data = &shards[task - 1][assignment.shard];
+    }
+    // local_view reads new data unless kOld and old data unless kNew.
+    if (job.new_data != nullptr && job.group != ClientGroup::kOld) {
+      work[i] += job.new_data->size();
+    }
+    if (job.old_data != nullptr) work[i] += job.old_data->size();
+  }
+  std::vector<std::size_t> order(n);
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::stable_sort(order.begin(), order.end(),
+                   [&](std::size_t a, std::size_t b) {
+                     return work[a] > work[b];
+                   });
+
+  TrainedClients trained{std::vector<ClientUpdate>(n),
+                         std::vector<double>(n, 0.0),
+                         std::vector<std::size_t>(n, 0)};
+  std::atomic<std::size_t> next{0};
+  util::global_thread_pool().parallel_for(
+      std::min(slots, n), [&](std::size_t slot) {
+        for (std::size_t k = next++; k < n; k = next++) {
+          const std::size_t i = order[k];
+          jobs[i].worker_slot = slot;
+          const auto client_start = std::chrono::steady_clock::now();
+          {
+            obs::prof::Span client_span("fed.client",
+                                        static_cast<std::uint32_t>(task),
+                                        static_cast<std::uint32_t>(round));
+            trained.updates[i] = method.train_client(broadcast, jobs[i]);
+            client_span.set_value(trained.updates[i].payload.size());
+          }
+          trained.updates[i].client_id = jobs[i].client_id;
+          trained.seconds[i] = std::chrono::duration<double>(
+                                   std::chrono::steady_clock::now() -
+                                   client_start)
+                                   .count();
+          trained.slots[i] = slot;
+        }
+      });
+  return trained;
+}
+
+/// Run-end bookkeeping both loops share: the registry totals, the run_end
+/// trace event, and the trace and profile flushes (the profile flush is a
+/// no-op with no sink armed, and lets a profiled run yield a loadable trace
+/// even without a clean process exit).
+void finish_run(const RunResult& result, bool tracing) {
+  obs::count("fed.runs");
+  obs::count("fed.bytes_down", result.network.bytes_down);
+  obs::count("fed.bytes_up", result.network.bytes_up);
+  obs::count("fed.dropped_updates", result.network.dropped_updates);
+  if (result.network.quarantined != 0) {
+    obs::count("fed.quarantined", result.network.quarantined);
+  }
+  if (result.network.retries != 0) {
+    obs::count("fed.retries", result.network.retries);
+  }
+  if (result.network.timed_out != 0) {
+    obs::count("fed.timed_out", result.network.timed_out);
+  }
+  if (tracing) {
+    obs::trace(obs::TraceEvent("run_end")
+                   .field("method", result.method_name)
+                   .field("dataset", result.dataset_name)
+                   .field("bytes_down", result.network.bytes_down)
+                   .field("bytes_up", result.network.bytes_up)
+                   .field("messages", result.network.messages)
+                   .field("dropped_updates", result.network.dropped_updates)
+                   .field("quarantined", result.network.quarantined)
+                   .field("retries", result.network.retries)
+                   .field("timed_out", result.network.timed_out)
+                   .field("bytes_retransmitted",
+                          result.network.bytes_retransmitted)
+                   .field("compression", result.compression)
+                   .field("bytes_down_raw_equiv",
+                          result.network.bytes_down_raw_equiv)
+                   .field("bytes_up_raw_equiv",
+                          result.network.bytes_up_raw_equiv)
+                   .field("avg_accuracy", result.average_accuracy())
+                   .field("last_accuracy", result.last_accuracy())
+                   .field("wall_s", result.wall_seconds));
+    obs::flush_trace();
+  }
+  obs::prof::flush();
+}
+
+}  // namespace
 
 double RunResult::average_accuracy() const {
   REFFIL_CHECK_MSG(!tasks.empty(), "no task results");
@@ -47,9 +175,7 @@ double RunResult::eval_seconds() const {
 
 FederatedRunner::FederatedRunner(RunConfig config)
     : config_(std::move(config)), generator_(config_.spec) {
-  parallelism_ = config_.parallelism == 0
-                     ? util::global_thread_pool().size()
-                     : config_.parallelism;
+  parallelism_ = resolve_worker_slots(config_.parallelism);
   test_cache_.resize(config_.spec.domains.size());
 }
 
@@ -103,8 +229,6 @@ RunResult FederatedRunner::run(Method& method) {
       faults_armed ? method.update_validator() : UpdateValidator();
   // shards[t][client_id]: client's shard of domain t's training pool.
   std::vector<std::vector<data::Dataset>> shards(spec.domains.size());
-
-  auto& pool = util::global_thread_pool();
 
   // Observability: metric handles are resolved once per run; the trace flag
   // is latched here so a mid-run REFFIL_TRACE change cannot tear the stream.
@@ -262,52 +386,13 @@ RunResult FederatedRunner::run(Method& method) {
         continue;
       }
 
-      std::vector<ClientUpdate> updates(plan.participants.size());
-      std::vector<double> client_seconds(plan.participants.size(), 0.0);
-      // Workers are indexed by a pre-assigned slot so each replica is used
-      // by exactly one concurrent client.
-      std::vector<std::size_t> slots(plan.participants.size());
-      for (std::size_t i = 0; i < slots.size(); ++i) slots[i] = i % parallelism_;
-
-      // Group jobs by slot to serialize replica reuse.
-      std::vector<std::vector<std::size_t>> by_slot(parallelism_);
-      for (std::size_t i = 0; i < plan.participants.size(); ++i) {
-        by_slot[slots[i]].push_back(i);
-      }
       const auto train_start = std::chrono::steady_clock::now();
       obs::prof::Span round_span("fed.train_round", round_stats.task,
                                  round_stats.round);
-      pool.parallel_for(parallelism_, [&](std::size_t slot) {
-        for (std::size_t i : by_slot[slot]) {
-          const ClientAssignment& assignment = plan.participants[i];
-          TrainJob job;
-          job.worker_slot = slot;
-          job.client_id = assignment.client_id;
-          job.task = task;
-          job.round = round;
-          job.total_rounds = spec.rounds_per_task;
-          job.group = assignment.group;
-          job.local_epochs = spec.local_epochs;
-          job.learning_rate = spec.learning_rate;
-          if (task == 0 || assignment.group != ClientGroup::kOld) {
-            job.new_data = &shards[task][assignment.client_id];
-          }
-          if (task > 0 && assignment.group != ClientGroup::kNew) {
-            job.old_data = &shards[task - 1][assignment.client_id];
-          }
-          const auto client_start = std::chrono::steady_clock::now();
-          {
-            obs::prof::Span client_span("fed.client", round_stats.task,
-                                        round_stats.round);
-            updates[i] = method.train_client(broadcast, job);
-            client_span.set_value(updates[i].payload.size());
-          }
-          updates[i].client_id = assignment.client_id;
-          client_seconds[i] = std::chrono::duration<double>(
-                                  std::chrono::steady_clock::now() - client_start)
-                                  .count();
-        }
-      });
+      TrainedClients trained =
+          train_participants(method, broadcast, plan.participants, shards,
+                             spec, task, round, parallelism_);
+      std::vector<ClientUpdate>& updates = trained.updates;
       round_span.finish();
       round_stats.train_seconds =
           std::chrono::duration<double>(std::chrono::steady_clock::now() -
@@ -387,8 +472,8 @@ RunResult FederatedRunner::run(Method& method) {
                            .field("round", round)
                            .field("client", plan.participants[i].client_id)
                            .field("group", to_string(plan.participants[i].group))
-                           .field("slot", slots[i])
-                           .field("wall_s", client_seconds[i])
+                           .field("slot", trained.slots[i])
+                           .field("wall_s", trained.seconds[i])
                            .field("samples", updates[i].num_samples)
                            .field("bytes_up", wire_bytes));
           }
@@ -474,45 +559,7 @@ RunResult FederatedRunner::run(Method& method) {
       std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                     start_time)
           .count();
-  obs::count("fed.runs");
-  obs::count("fed.bytes_down", result.network.bytes_down);
-  obs::count("fed.bytes_up", result.network.bytes_up);
-  obs::count("fed.dropped_updates", result.network.dropped_updates);
-  if (result.network.quarantined != 0) {
-    obs::count("fed.quarantined", result.network.quarantined);
-  }
-  if (result.network.retries != 0) {
-    obs::count("fed.retries", result.network.retries);
-  }
-  if (result.network.timed_out != 0) {
-    obs::count("fed.timed_out", result.network.timed_out);
-  }
-  if (tracing) {
-    obs::trace(obs::TraceEvent("run_end")
-                   .field("method", result.method_name)
-                   .field("dataset", result.dataset_name)
-                   .field("bytes_down", result.network.bytes_down)
-                   .field("bytes_up", result.network.bytes_up)
-                   .field("messages", result.network.messages)
-                   .field("dropped_updates", result.network.dropped_updates)
-                   .field("quarantined", result.network.quarantined)
-                   .field("retries", result.network.retries)
-                   .field("timed_out", result.network.timed_out)
-                   .field("bytes_retransmitted",
-                          result.network.bytes_retransmitted)
-                   .field("compression", result.compression)
-                   .field("bytes_down_raw_equiv",
-                          result.network.bytes_down_raw_equiv)
-                   .field("bytes_up_raw_equiv",
-                          result.network.bytes_up_raw_equiv)
-                   .field("avg_accuracy", result.average_accuracy())
-                   .field("last_accuracy", result.last_accuracy())
-                   .field("wall_s", result.wall_seconds));
-    obs::flush_trace();
-  }
-  // Persist the op-level profile (no-op when no profile sink is armed) so a
-  // profiled run yields a loadable trace even without a clean process exit.
-  obs::prof::flush();
+  finish_run(result, tracing);
   if (monitor != nullptr) {
     // One closing sample so the final time-series row carries the run-end
     // registry totals (fed.bytes_up etc.), then snapshot health into result.
@@ -555,7 +602,6 @@ RunResult FederatedRunner::run_des(Method& method) {
   // onto it via ClientAssignment::shard, so data memory is independent of
   // the registered population.
   std::vector<std::vector<data::Dataset>> shards(spec.domains.size());
-  auto& pool = util::global_thread_pool();
 
   const bool tracing = obs::trace_enabled();
   obs::Counter& rounds_counter = obs::counter("fed.rounds");
@@ -753,62 +799,27 @@ RunResult FederatedRunner::run_des(Method& method) {
       double aggregate_seconds = 0.0;
       obs::prof::Span round_span("fed.train_round", round_stats.task,
                                  round_stats.round);
-      const std::size_t wave_size =
-          std::max<std::size_t>(1, parallelism_) * 4;
+      const std::size_t wave_size = parallelism_ * 4;
       for (std::size_t begin = 0; begin < events.size(); begin += wave_size) {
         const std::size_t end = std::min(events.size(), begin + wave_size);
-        const std::size_t count = end - begin;
-        std::vector<ClientUpdate> updates(count);
-        std::vector<double> client_seconds(count, 0.0);
-        std::vector<std::size_t> slots(count);
-        for (std::size_t i = 0; i < count; ++i) slots[i] = i % parallelism_;
-        std::vector<std::vector<std::size_t>> by_slot(parallelism_);
-        for (std::size_t i = 0; i < count; ++i) by_slot[slots[i]].push_back(i);
-
+        std::vector<ClientAssignment> wave;
+        wave.reserve(end - begin);
+        for (std::size_t i = begin; i < end; ++i) {
+          wave.push_back(plan.participants[events[i].idx]);
+        }
         const auto wave_start = std::chrono::steady_clock::now();
-        pool.parallel_for(parallelism_, [&](std::size_t slot) {
-          for (std::size_t i : by_slot[slot]) {
-            const Event& event = events[begin + i];
-            const ClientAssignment& assignment =
-                plan.participants[event.idx];
-            TrainJob job;
-            job.worker_slot = slot;
-            job.client_id = assignment.client_id;
-            job.task = task;
-            job.round = round;
-            job.total_rounds = spec.rounds_per_task;
-            job.group = assignment.group;
-            job.local_epochs = spec.local_epochs;
-            job.learning_rate = spec.learning_rate;
-            if (task == 0 || assignment.group != ClientGroup::kOld) {
-              job.new_data = &shards[task][assignment.shard];
-            }
-            if (task > 0 && assignment.group != ClientGroup::kNew) {
-              job.old_data = &shards[task - 1][assignment.shard];
-            }
-            const auto client_start = std::chrono::steady_clock::now();
-            {
-              obs::prof::Span client_span("fed.client", round_stats.task,
-                                          round_stats.round);
-              updates[i] = method.train_client(broadcast, job);
-              client_span.set_value(updates[i].payload.size());
-            }
-            updates[i].client_id = assignment.client_id;
-            client_seconds[i] =
-                std::chrono::duration<double>(
-                    std::chrono::steady_clock::now() - client_start)
-                    .count();
-          }
-        });
+        TrainedClients trained = train_participants(
+            method, broadcast, wave, shards, spec, task, round, parallelism_);
+        std::vector<ClientUpdate>& updates = trained.updates;
         round_stats.train_seconds +=
             std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                           wave_start)
                 .count();
 
         // Uplink + fold, in simulated arrival order within the wave.
-        for (std::size_t i = 0; i < count; ++i) {
+        for (std::size_t i = 0; i < wave.size(); ++i) {
           const Event& event = events[begin + i];
-          const ClientAssignment& assignment = plan.participants[event.idx];
+          const ClientAssignment& assignment = wave[i];
           std::uint64_t wire_bytes = updates[i].payload.size();
           result.network.bytes_up_raw_equiv +=
               raw_equiv_bytes(updates[i].payload);
@@ -868,8 +879,8 @@ RunResult FederatedRunner::run_des(Method& method) {
                            .field("client", assignment.client_id)
                            .field("shard", assignment.shard)
                            .field("group", to_string(assignment.group))
-                           .field("slot", slots[i])
-                           .field("wall_s", client_seconds[i])
+                           .field("slot", trained.slots[i])
+                           .field("wall_s", trained.seconds[i])
                            .field("sim_start_s", event.delay_s)
                            .field("samples", updates[i].num_samples)
                            .field("bytes_up", wire_bytes));
@@ -980,23 +991,10 @@ RunResult FederatedRunner::run_des(Method& method) {
       std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                     start_time)
           .count();
-  obs::count("fed.runs");
-  obs::count("fed.bytes_down", result.network.bytes_down);
-  obs::count("fed.bytes_up", result.network.bytes_up);
-  obs::count("fed.dropped_updates", result.network.dropped_updates);
   obs::count("des.participations", scheduler.total_participations());
   obs::count("des.unique_participants", scheduler.unique_participants());
   if (scheduler.forced_rounds() != 0) {
     obs::count("des.forced_rounds", scheduler.forced_rounds());
-  }
-  if (result.network.quarantined != 0) {
-    obs::count("fed.quarantined", result.network.quarantined);
-  }
-  if (result.network.retries != 0) {
-    obs::count("fed.retries", result.network.retries);
-  }
-  if (result.network.timed_out != 0) {
-    obs::count("fed.timed_out", result.network.timed_out);
   }
   if (tracing) {
     obs::trace(obs::TraceEvent("des_summary")
@@ -1006,29 +1004,8 @@ RunResult FederatedRunner::run_des(Method& method) {
                    .field("unique_participants",
                           scheduler.unique_participants())
                    .field("forced_rounds", scheduler.forced_rounds()));
-    obs::trace(obs::TraceEvent("run_end")
-                   .field("method", result.method_name)
-                   .field("dataset", result.dataset_name)
-                   .field("bytes_down", result.network.bytes_down)
-                   .field("bytes_up", result.network.bytes_up)
-                   .field("messages", result.network.messages)
-                   .field("dropped_updates", result.network.dropped_updates)
-                   .field("quarantined", result.network.quarantined)
-                   .field("retries", result.network.retries)
-                   .field("timed_out", result.network.timed_out)
-                   .field("bytes_retransmitted",
-                          result.network.bytes_retransmitted)
-                   .field("compression", result.compression)
-                   .field("bytes_down_raw_equiv",
-                          result.network.bytes_down_raw_equiv)
-                   .field("bytes_up_raw_equiv",
-                          result.network.bytes_up_raw_equiv)
-                   .field("avg_accuracy", result.average_accuracy())
-                   .field("last_accuracy", result.last_accuracy())
-                   .field("wall_s", result.wall_seconds));
-    obs::flush_trace();
   }
-  obs::prof::flush();
+  finish_run(result, tracing);
   if (monitor != nullptr) {
     monitor->timeseries().sample(
         config_.des.round_interval_s * static_cast<double>(global_round),

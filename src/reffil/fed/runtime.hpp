@@ -37,7 +37,11 @@ class TaskSource {
 
 struct RunConfig {
   data::DatasetSpec spec;
-  std::size_t parallelism = 0;  ///< 0 = thread pool default
+  /// Worker slots: how many clients train at once, each on its own method
+  /// replica. 0 = one per global_thread_pool() thread (resolve_worker_slots).
+  /// Clients go to slots longest-first as slots free up; results are
+  /// bitwise-identical at every value.
+  std::size_t parallelism = 0;
   std::uint64_t seed = 1;       ///< scheduler + partition randomness
   double partition_skew = 1.0;  ///< quantity-shift strength
   /// Probability that a selected client fails to return its update this
@@ -164,6 +168,8 @@ class FederatedRunner {
   const data::Dataset& test_set(std::size_t domain) const;
 
   const RunConfig& config() const { return config_; }
+  /// The resolved worker-slot count (RunConfig::parallelism, 0 resolved).
+  std::size_t parallelism() const { return parallelism_; }
 
  private:
   /// The discrete-event round loop (RunConfig::des enabled). Same curriculum,

@@ -41,7 +41,10 @@ data::DatasetSpec apply_scale(data::DatasetSpec spec, Scale scale);
 
 struct ExperimentConfig {
   std::uint64_t seed = 1;
-  std::size_t parallelism = 2;
+  /// Worker slots, i.e. clients trained at once; 0 = one per
+  /// global_thread_pool() thread (fed::resolve_worker_slots). Results do not
+  /// depend on it, so it is not part of the result-cache key.
+  std::size_t parallelism = 0;
   Scale scale = Scale::kScaled;
   /// Capture-and-replay client training graphs through the arena planner
   /// (see autograd/graph.hpp). Replayed steps are bitwise-identical to

@@ -48,7 +48,8 @@
 //                     recovery_rounds=N) — see fed/health.hpp. Empty SPEC ("")
 //                     uses the defaults.
 //   --json            machine-readable output (includes a "health" block for
-//                     monitored runs)
+//                     monitored runs, and the resolved worker-slot count
+//                     "parallelism" beside the pool's "pool_threads")
 //   --list            print datasets and methods, then exit
 #include <chrono>
 #include <cstdio>
@@ -66,6 +67,7 @@
 #include "reffil/util/expo.hpp"
 #include "reffil/util/obs.hpp"
 #include "reffil/util/prof.hpp"
+#include "reffil/util/thread_pool.hpp"
 
 namespace {
 
@@ -105,11 +107,16 @@ std::uint64_t total_participants(const fed::RunResult& result) {
   return total;
 }
 
-void print_json(const fed::RunResult& result) {
+// `parallelism` is the runner's resolved worker-slot count and
+// `pool_threads` the global pool size, so a wall time can be read against
+// the concurrency that produced it.
+void print_json(const fed::RunResult& result, std::size_t parallelism) {
   std::printf("{\"method\":\"%s\",\"dataset\":\"%s\",\"isa\":\"%s\","
+              "\"parallelism\":%zu,\"pool_threads\":%zu,"
               "\"avg\":%.4f,\"last\":%.4f,\"tasks\":[",
               result.method_name.c_str(), result.dataset_name.c_str(),
-              tensor::kern::active_name(), result.average_accuracy(),
+              tensor::kern::active_name(), parallelism,
+              util::global_thread_pool().size(), result.average_accuracy(),
               result.last_accuracy());
   for (std::size_t t = 0; t < result.tasks.size(); ++t) {
     const auto& task = result.tasks[t];
@@ -515,7 +522,7 @@ int main(int argc, char** argv) {
   }
 
   if (json) {
-    print_json(result);
+    print_json(result, runner.parallelism());
   } else {
     std::printf("%s on %s (seed %llu, %s order, scale %s, isa %s)\n",
                 result.method_name.c_str(), result.dataset_name.c_str(),
