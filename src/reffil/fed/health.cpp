@@ -417,6 +417,13 @@ void RunMonitor::on_round(const RunResult& result, const RoundStats& round,
 }
 
 void RunMonitor::on_wave(double sim_time_s, std::uint64_t global_round) {
+  // The cadence counts from the run start, so the first round's waves do not
+  // sample just because no sample exists yet: a fast run takes exactly one
+  // sample per round commit plus the closing one, however many waves it has.
+  const double since_start =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - start_)
+          .count();
+  if (since_start < config_.wallclock_interval_s) return;
   timeseries_.maybe_sample(config_.wallclock_interval_s, sim_time_s,
                            global_round);
 }

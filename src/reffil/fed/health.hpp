@@ -46,7 +46,7 @@ namespace reffil::fed {
 
 struct MonitorConfig {
   std::size_t timeseries_capacity = 512;  ///< retained TimePoint rows
-  double wallclock_interval_s = 5.0;      ///< mid-round DES sampling cadence
+  double wallclock_interval_s = 5.0;      ///< mid-round sampling cadence
   // Detector knobs; a non-positive value disables that detector.
   double norm_z = 4.0;             ///< z-score threshold for norm drift
   std::size_t norm_window = 8;     ///< trailing rounds in the norm baseline
@@ -231,7 +231,8 @@ class RunMonitor {
   void on_round(const RunResult& result, const RoundStats& round,
                 std::uint64_t global_round, double sim_time_s,
                 const NormAccumulator& norms);
-  /// Mid-wave wall-clock sampling for long DES rounds.
+  /// Wall-clock sampling between a long round's waves: at most one sample
+  /// per MonitorConfig::wallclock_interval_s, counted from the run start.
   void on_wave(double sim_time_s, std::uint64_t global_round);
   void on_eval(std::uint32_t task, double cumulative_accuracy);
   /// Marks the board done and copies the health log + time-series summary

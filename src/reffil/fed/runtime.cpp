@@ -29,8 +29,8 @@ struct TrainedClients {
 /// work (the MethodBase::local_view size), largest first, and each slot pulls
 /// the next one from a shared index, so the slowest client starts first and
 /// no slot idles while another has a backlog. A client's update depends only
-/// on the broadcast and its job, never on its slot, and callers meter and
-/// aggregate in their own order, so placement cannot change a result.
+/// on the broadcast and its job, never on its slot, and the runner meters and
+/// aggregates in arrival order, so placement cannot change a result.
 TrainedClients train_participants(
     Method& method, const std::vector<std::uint8_t>& broadcast,
     const std::vector<ClientAssignment>& participants,
@@ -97,10 +97,10 @@ TrainedClients train_participants(
   return trained;
 }
 
-/// Run-end bookkeeping both loops share: the registry totals, the run_end
-/// trace event, and the trace and profile flushes (the profile flush is a
-/// no-op with no sink armed, and lets a profiled run yield a loadable trace
-/// even without a clean process exit).
+/// Run-end bookkeeping: the registry totals, the run_end trace event, and
+/// the trace and profile flushes (the profile flush is a no-op with no sink
+/// armed, and lets a profiled run yield a loadable trace even without a
+/// clean process exit).
 void finish_run(const RunResult& result, bool tracing) {
   obs::count("fed.runs");
   obs::count("fed.bytes_down", result.network.bytes_down);
@@ -175,6 +175,12 @@ double RunResult::eval_seconds() const {
 
 FederatedRunner::FederatedRunner(RunConfig config)
     : config_(std::move(config)), generator_(config_.spec) {
+  // The negated range test also rejects NaN.
+  if (!(config_.dropout_probability >= 0.0 &&
+        config_.dropout_probability <= 1.0)) {
+    throw ConfigError("dropout probability must be in [0, 1], got " +
+                      std::to_string(config_.dropout_probability));
+  }
   parallelism_ = resolve_worker_slots(config_.parallelism);
   test_cache_.resize(config_.spec.domains.size());
 }
@@ -194,7 +200,6 @@ data::Dataset FederatedRunner::train_pool(std::size_t task) const {
 }
 
 RunResult FederatedRunner::run(Method& method) {
-  if (config_.des.enabled()) return run_des(method);
   const auto& spec = config_.spec;
   const auto start_time = std::chrono::steady_clock::now();
 
@@ -206,12 +211,16 @@ RunResult FederatedRunner::run(Method& method) {
   method.configure_compression(config_.compress);
   result.compression = config_.compress.to_string();
 
-  ClientIncrementScheduler scheduler(
-      {.initial_clients = spec.initial_clients,
-       .clients_per_round = spec.clients_per_round,
-       .client_increment = spec.client_increment,
-       .transition_fraction = 0.8},
-      config_.seed);
+  // Who takes part, and when. With RunConfig::des disabled this is the
+  // dense client-increment draw with every upload delay and every round
+  // start at 0; enabled, it samples the registered population under the
+  // availability traces.
+  const bool des = config_.des.enabled();
+  DesScheduler scheduler({.initial_clients = spec.initial_clients,
+                          .clients_per_round = spec.clients_per_round,
+                          .client_increment = spec.client_increment,
+                          .transition_fraction = 0.8},
+                         config_.des, config_.seed);
 
   util::Rng partition_rng(config_.seed ^ 0x9A27171017ULL);
   util::Rng dropout_rng(config_.seed ^ 0xD20D077ULL);
@@ -227,7 +236,10 @@ RunResult FederatedRunner::run(Method& method) {
   // those structurally too. Either way, trailing undecoded bytes quarantine.
   const UpdateValidator update_validator =
       faults_armed ? method.update_validator() : UpdateValidator();
-  // shards[t][client_id]: client's shard of domain t's training pool.
+
+  // shards[t][shard]: the spec-sized data partition; registered clients map
+  // onto it via ClientAssignment::shard, so data memory is independent of
+  // the registered population.
   std::vector<std::vector<data::Dataset>> shards(spec.domains.size());
 
   // Observability: metric handles are resolved once per run; the trace flag
@@ -237,12 +249,17 @@ RunResult FederatedRunner::run(Method& method) {
   obs::Histogram& train_time = obs::histogram("fed.round_train_seconds");
   obs::Histogram& aggregate_time = obs::histogram("fed.aggregate_seconds");
   if (tracing) {
-    obs::trace(obs::TraceEvent("run_start")
-                   .field("method", result.method_name)
-                   .field("dataset", result.dataset_name)
-                   .field("tasks", spec.domains.size())
-                   .field("rounds_per_task", spec.rounds_per_task)
-                   .field("seed", config_.seed));
+    obs::TraceEvent run_start("run_start");
+    run_start.field("method", result.method_name)
+        .field("dataset", result.dataset_name)
+        .field("tasks", spec.domains.size())
+        .field("rounds_per_task", spec.rounds_per_task)
+        .field("seed", config_.seed);
+    if (des) {
+      run_start.field("registered_clients", config_.des.registered_clients)
+          .field("sample_per_round", scheduler.sample_per_round());
+    }
+    obs::trace(run_start);
   }
   // Live telemetry is observation only: every monitor touch below is guarded
   // by this null check and reads state the run already computed, so an
@@ -253,21 +270,24 @@ RunResult FederatedRunner::run(Method& method) {
                           spec.domains.size(), spec.rounds_per_task);
   }
 
+  std::size_t global_round = 0;
   for (std::size_t task = 0; task < spec.domains.size(); ++task) {
     method.on_task_start(task);
 
-    // Partition the new domain across the (grown) client population.
-    const std::size_t population = scheduler.clients_at_task(task);
+    // Partition the new domain across the (grown) data population.
+    const std::size_t population = scheduler.data_population(task);
     shards[task] = data::quantity_shift_partition(
         train_pool(task), population,
         {.skew = config_.partition_skew, .min_per_client = 4}, partition_rng);
 
     for (std::size_t round = 0; round < spec.rounds_per_task; ++round) {
-      RoundPlan plan = scheduler.plan_round(task, round);
+      const double sim_time = scheduler.round_start_s(global_round++);
+      RoundPlan plan = scheduler.plan_round(task, round, sim_time);
       RoundStats round_stats;
       round_stats.task = static_cast<std::uint32_t>(task);
       round_stats.round = static_cast<std::uint32_t>(round);
-      round_stats.selected = static_cast<std::uint32_t>(plan.participants.size());
+      round_stats.selected =
+          static_cast<std::uint32_t>(plan.participants.size());
       // The server broadcasts to every selected participant before it can
       // know who will drop, so those bytes are metered against the full
       // selection — including rounds where every participant is later lost.
@@ -331,7 +351,8 @@ RunResult FederatedRunner::run(Method& method) {
                        .field("round", round)
                        .field("participants", plan.participants.size())
                        .field("payload_bytes", broadcast.size())
-                       .field("bytes_down", round_stats.bytes_down));
+                       .field("bytes_down", round_stats.bytes_down)
+                       .field("sim_time_s", sim_time));
       }
       if (faults_armed) plan.participants = std::move(reachable);
       // Straggler/dropout simulation: drop participants before training so
@@ -356,369 +377,7 @@ RunResult FederatedRunner::run(Method& method) {
       }
       // Every exit path below accounts the round: the fed.rounds counter,
       // the per-round fault counters and result.rounds must agree no matter
-      // how the round ends (the lost-round `continue` used to skip the
-      // counter, so fed.rounds drifted from result.rounds.size()).
-      NormAccumulator norm_acc;  // accepted-update norms, monitor-armed only
-      const auto commit_round = [&](const char* lost_reason) {
-        rounds_counter.add(1);
-        if (lost_reason != nullptr && tracing) {
-          obs::trace(obs::TraceEvent("round_lost")
-                         .field("task", task)
-                         .field("round", round)
-                         .field("selected", round_stats.selected)
-                         .field("dropped", round_stats.dropped)
-                         .field("timed_out", round_stats.timed_out)
-                         .field("quarantined", round_stats.quarantined)
-                         .field("reason", lost_reason));
-        }
-        result.network.quarantined += round_stats.quarantined;
-        result.network.retries += round_stats.retries;
-        result.network.timed_out += round_stats.timed_out;
-        result.network.bytes_retransmitted += round_stats.bytes_retransmitted;
-        result.rounds.push_back(round_stats);
-        if (monitor != nullptr) {
-          monitor->on_round(result, round_stats, result.rounds.size(),
-                            /*sim_time_s=*/0.0, norm_acc);
-        }
-      };
-      if (plan.participants.empty()) {  // whole round lost before training
-        commit_round("no participants survived dropout/transport");
-        continue;
-      }
-
-      const auto train_start = std::chrono::steady_clock::now();
-      obs::prof::Span round_span("fed.train_round", round_stats.task,
-                                 round_stats.round);
-      TrainedClients trained =
-          train_participants(method, broadcast, plan.participants, shards,
-                             spec, task, round, parallelism_);
-      std::vector<ClientUpdate>& updates = trained.updates;
-      round_span.finish();
-      round_stats.train_seconds =
-          std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                        train_start)
-              .count();
-      train_time.observe(round_stats.train_seconds);
-
-      // Uplink: meter each update — through the fault transport when armed,
-      // collecting only validated survivors for aggregation. The per-client
-      // `client_train` trace carries the metered wire bytes so trace sums
-      // still reconcile exactly with NetworkStats under retries/duplicates.
-      std::vector<ClientUpdate> accepted;
-      if (faults_armed) accepted.reserve(updates.size());
-      {
-        std::optional<obs::prof::Span> up_span;
-        if (faults_armed) {
-          up_span.emplace("fed.transport", round_stats.task, round_stats.round);
-        }
-        for (std::size_t i = 0; i < updates.size(); ++i) {
-          std::uint64_t wire_bytes = updates[i].payload.size();
-          // Raw equivalent BEFORE the transport can damage/replace the
-          // payload — the logical content is what the client produced.
-          result.network.bytes_up_raw_equiv +=
-              raw_equiv_bytes(updates[i].payload);
-          bool delivered = true;
-          if (faults_armed) {
-            Transport::Delivery d =
-                transport->send_update(updates[i].payload, update_validator);
-            wire_bytes = d.bytes_transmitted;
-            round_stats.retries += d.retries;
-            round_stats.bytes_retransmitted += d.bytes_retransmitted;
-            if (tracing && (d.retries != 0 || d.duplicates != 0)) {
-              obs::trace(obs::TraceEvent("fed.retry")
-                             .field("task", task)
-                             .field("round", round)
-                             .field("client", plan.participants[i].client_id)
-                             .field("direction", "up")
-                             .field("retries", d.retries)
-                             .field("bytes", d.bytes_retransmitted));
-            }
-            switch (d.outcome) {
-              case Transport::Outcome::kDelivered:
-                // A poisoned-at-source payload that still validated is
-                // delivered as the damaged bytes the server actually saw.
-                if (!d.payload.empty()) updates[i].payload = std::move(d.payload);
-                break;
-              case Transport::Outcome::kTimedOut:
-                delivered = false;
-                ++round_stats.timed_out;
-                if (tracing) {
-                  obs::trace(obs::TraceEvent("fed.timeout")
-                                 .field("task", task)
-                                 .field("round", round)
-                                 .field("client", plan.participants[i].client_id)
-                                 .field("direction", "up")
-                                 .field("reason", d.reason));
-                }
-                break;
-              case Transport::Outcome::kQuarantined:
-                delivered = false;
-                ++round_stats.quarantined;
-                if (tracing) {
-                  obs::trace(obs::TraceEvent("fed.quarantine")
-                                 .field("task", task)
-                                 .field("round", round)
-                                 .field("client", plan.participants[i].client_id)
-                                 .field("reason", d.reason));
-                }
-                break;
-            }
-          }
-          round_stats.bytes_up += wire_bytes;
-          ++result.network.messages;
-          if (tracing) {
-            obs::trace(obs::TraceEvent("client_train")
-                           .field("task", task)
-                           .field("round", round)
-                           .field("client", plan.participants[i].client_id)
-                           .field("group", to_string(plan.participants[i].group))
-                           .field("slot", trained.slots[i])
-                           .field("wall_s", trained.seconds[i])
-                           .field("samples", updates[i].num_samples)
-                           .field("bytes_up", wire_bytes));
-          }
-          if (monitor != nullptr && delivered) {
-            // Feed the drift detector the norm of what the server will
-            // aggregate (post-transport bytes). Read-only, so the training
-            // path is untouched with or without a monitor.
-            if (const auto norm = update_state_l2_norm(updates[i].payload)) {
-              norm_acc.add(*norm);
-            }
-          }
-          if (faults_armed && delivered) {
-            accepted.push_back(std::move(updates[i]));
-          }
-        }
-      }
-      result.network.bytes_up += round_stats.bytes_up;
-      if (faults_armed && accepted.empty()) {
-        // Every survivor of dropout was then lost in transit: degrade
-        // gracefully by carrying the previous global state into next round.
-        commit_round("every update timed out or was quarantined");
-        continue;
-      }
-      const auto agg_start = std::chrono::steady_clock::now();
-      bool aggregated = true;
-      {
-        obs::prof::Span agg_span("fed.aggregate", round_stats.task,
-                                 round_stats.round);
-        if (!faults_armed) {
-          method.aggregate(updates);
-        } else {
-          // validate_state_prefix certifies the leading ModelState only; a
-          // corrupt method-specific extra can still surface here. Quarantine
-          // the whole batch rather than crash — the global state is simply
-          // carried forward, exactly as for a fully-dropped round.
-          try {
-            method.aggregate(accepted);
-          } catch (const Error& e) {
-            aggregated = false;
-            round_stats.quarantined +=
-                static_cast<std::uint32_t>(accepted.size());
-            if (tracing) {
-              obs::trace(obs::TraceEvent("fed.quarantine")
-                             .field("task", task)
-                             .field("round", round)
-                             .field("updates", accepted.size())
-                             .field("reason", std::string("aggregate failed: ") +
-                                                  e.what()));
-            }
-          }
-        }
-      }
-      round_stats.aggregate_seconds =
-          std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                        agg_start)
-              .count();
-      aggregate_time.observe(round_stats.aggregate_seconds);
-      if (tracing && aggregated) {
-        obs::trace(obs::TraceEvent("aggregate")
-                       .field("task", task)
-                       .field("round", round)
-                       .field("updates", faults_armed ? accepted.size()
-                                                      : updates.size())
-                       .field("wall_s", round_stats.aggregate_seconds));
-      }
-      commit_round(aggregated ? nullptr
-                              : "aggregation rejected the surviving updates");
-    }
-
-    evaluate_task(method, task, result);
-    if (monitor != nullptr) {
-      monitor->on_eval(static_cast<std::uint32_t>(task),
-                       result.tasks.back().cumulative_accuracy);
-    }
-    if (config_.after_task) config_.after_task(method, task);
-    REFFIL_LOG_INFO << spec.name << " / " << method.name() << ": task "
-                    << (task + 1) << "/" << spec.domains.size() << " ("
-                    << spec.domains[task].name << ") step-acc "
-                    << result.tasks.back().cumulative_accuracy;
-  }
-
-  result.wall_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                    start_time)
-          .count();
-  finish_run(result, tracing);
-  if (monitor != nullptr) {
-    // One closing sample so the final time-series row carries the run-end
-    // registry totals (fed.bytes_up etc.), then snapshot health into result.
-    monitor->timeseries().sample(0.0, result.rounds.size());
-    monitor->finalize(result);
-  }
-  return result;
-}
-
-RunResult FederatedRunner::run_des(Method& method) {
-  const auto& spec = config_.spec;
-  const auto start_time = std::chrono::steady_clock::now();
-
-  RunResult result;
-  result.method_name = method.name();
-  result.dataset_name = spec.name;
-  method.configure_compression(config_.compress);
-  result.compression = config_.compress.to_string();
-
-  // Same dense growth schedule underneath (it defines the data shards and
-  // group semantics); the DES layer adds the registered population and the
-  // availability traces on top.
-  DesScheduler scheduler({.initial_clients = spec.initial_clients,
-                          .clients_per_round = spec.clients_per_round,
-                          .client_increment = spec.client_increment,
-                          .transition_fraction = 0.8},
-                         config_.des, config_.seed);
-
-  util::Rng partition_rng(config_.seed ^ 0x9A27171017ULL);
-  util::Rng dropout_rng(config_.seed ^ 0xD20D077ULL);
-  const bool faults_armed = config_.faults.enabled();
-  std::optional<Transport> transport;
-  if (faults_armed) {
-    transport.emplace(config_.faults, config_.seed ^ 0x7A2A4F0B7ULL);
-  }
-  const UpdateValidator update_validator =
-      faults_armed ? method.update_validator() : UpdateValidator();
-
-  // shards[t][shard]: the spec-sized data partition; registered clients map
-  // onto it via ClientAssignment::shard, so data memory is independent of
-  // the registered population.
-  std::vector<std::vector<data::Dataset>> shards(spec.domains.size());
-
-  const bool tracing = obs::trace_enabled();
-  obs::Counter& rounds_counter = obs::counter("fed.rounds");
-  obs::Histogram& train_time = obs::histogram("fed.round_train_seconds");
-  obs::Histogram& aggregate_time = obs::histogram("fed.aggregate_seconds");
-  if (tracing) {
-    obs::trace(obs::TraceEvent("run_start")
-                   .field("method", result.method_name)
-                   .field("dataset", result.dataset_name)
-                   .field("tasks", spec.domains.size())
-                   .field("rounds_per_task", spec.rounds_per_task)
-                   .field("seed", config_.seed)
-                   .field("registered_clients", config_.des.registered_clients)
-                   .field("sample_per_round", scheduler.sample_per_round()));
-  }
-  // Same observation-only contract as the dense loop: every monitor touch is
-  // guarded by this null check and reads already-computed state.
-  RunMonitor* const monitor = config_.monitor.get();
-  if (monitor != nullptr) {
-    monitor->on_run_start(result.method_name, result.dataset_name,
-                          spec.domains.size(), spec.rounds_per_task);
-  }
-
-  std::size_t global_round = 0;
-  for (std::size_t task = 0; task < spec.domains.size(); ++task) {
-    method.on_task_start(task);
-
-    const std::size_t population = scheduler.data_population(task);
-    shards[task] = data::quantity_shift_partition(
-        train_pool(task), population,
-        {.skew = config_.partition_skew, .min_per_client = 4}, partition_rng);
-
-    for (std::size_t round = 0; round < spec.rounds_per_task; ++round) {
-      const double sim_time =
-          config_.des.round_interval_s * static_cast<double>(global_round++);
-      RoundPlan plan = scheduler.plan_round(task, round, sim_time);
-      RoundStats round_stats;
-      round_stats.task = static_cast<std::uint32_t>(task);
-      round_stats.round = static_cast<std::uint32_t>(round);
-      round_stats.selected =
-          static_cast<std::uint32_t>(plan.participants.size());
-
-      obs::prof::Span bcast_span("fed.broadcast", round_stats.task,
-                                 round_stats.round);
-      const std::vector<std::uint8_t> broadcast = method.make_broadcast();
-      bcast_span.set_value(broadcast.size());
-      bcast_span.finish();
-      const std::uint64_t bcast_raw = raw_equiv_bytes(broadcast);
-      std::vector<ClientAssignment> reachable;
-      if (!faults_armed) {
-        round_stats.bytes_down = broadcast.size() * plan.participants.size();
-      } else {
-        obs::prof::Span down_span("fed.transport", round_stats.task,
-                                  round_stats.round);
-        const std::vector<std::uint8_t> framed = Transport::frame(broadcast);
-        for (const auto& assignment : plan.participants) {
-          const Transport::Delivery d = transport->send_broadcast(framed);
-          round_stats.bytes_down += d.bytes_transmitted;
-          round_stats.retries += d.retries;
-          round_stats.bytes_retransmitted += d.bytes_retransmitted;
-          if (tracing && (d.retries != 0 || d.duplicates != 0)) {
-            obs::trace(obs::TraceEvent("fed.retry")
-                           .field("task", task)
-                           .field("round", round)
-                           .field("client", assignment.client_id)
-                           .field("direction", "down")
-                           .field("retries", d.retries)
-                           .field("bytes", d.bytes_retransmitted));
-          }
-          if (d.outcome == Transport::Outcome::kDelivered) {
-            reachable.push_back(assignment);
-          } else {
-            ++round_stats.timed_out;
-            if (tracing) {
-              obs::trace(obs::TraceEvent("fed.timeout")
-                             .field("task", task)
-                             .field("round", round)
-                             .field("client", assignment.client_id)
-                             .field("direction", "down")
-                             .field("reason", d.reason));
-            }
-          }
-        }
-        down_span.set_value(round_stats.bytes_down);
-      }
-      result.network.bytes_down += round_stats.bytes_down;
-      result.network.bytes_down_raw_equiv +=
-          bcast_raw * plan.participants.size();
-      result.network.messages += plan.participants.size();
-      if (tracing) {
-        obs::trace(obs::TraceEvent("broadcast")
-                       .field("task", task)
-                       .field("round", round)
-                       .field("participants", plan.participants.size())
-                       .field("payload_bytes", broadcast.size())
-                       .field("bytes_down", round_stats.bytes_down)
-                       .field("sim_time_s", sim_time));
-      }
-      if (faults_armed) plan.participants = std::move(reachable);
-      if (config_.dropout_probability > 0.0) {
-        std::vector<ClientAssignment> alive;
-        for (const auto& assignment : plan.participants) {
-          if (dropout_rng.bernoulli(config_.dropout_probability)) {
-            ++result.network.dropped_updates;
-            ++round_stats.dropped;
-            if (tracing) {
-              obs::trace(obs::TraceEvent("dropout")
-                             .field("task", task)
-                             .field("round", round)
-                             .field("client", assignment.client_id));
-            }
-          } else {
-            alive.push_back(assignment);
-          }
-        }
-        plan.participants = std::move(alive);
-      }
+      // how the round ends.
       NormAccumulator norm_acc;  // accepted-update norms, monitor-armed only
       const auto commit_round = [&](const char* lost_reason) {
         rounds_counter.add(1);
@@ -751,7 +410,8 @@ RunResult FederatedRunner::run_des(Method& method) {
       // event at its simulated compute-completion offset. A client whose
       // offset already exceeds the round deadline can never deliver, so it
       // is cut before training — the server would discard the result, and
-      // skipping the work is what lets deadline-heavy configs scale.
+      // skipping the work is what lets deadline-heavy configs scale. Dense
+      // rounds have no delays, so arrival order is participant order.
       struct Event {
         std::size_t idx = 0;     ///< index into plan.participants
         double delay_s = 0.0;    ///< upload start offset from round start
@@ -788,12 +448,15 @@ RunResult FederatedRunner::run_des(Method& method) {
         continue;
       }
 
-      // Streaming aggregation: updates fold into the sharded accumulator as
-      // they arrive and their payloads die with the wave, so peak memory is
-      // O(wave x payload + shards x model) — never O(cohort). Methods
-      // without a sink fall back to buffering (batch aggregate()).
+      // Streaming aggregation: under DES, updates fold into the sharded
+      // accumulator as they arrive and their payloads die with the wave, so
+      // peak memory is O(wave x payload + shards x model) — never O(cohort).
+      // Dense rounds, and methods without a sink, buffer the updates for one
+      // batch aggregate(), whose summation order the dense results rest on.
       std::unique_ptr<AggregationSink> sink =
-          method.begin_streaming_aggregate(config_.des.accumulator_shards);
+          des ? method.begin_streaming_aggregate(
+                    config_.des.accumulator_shards)
+              : nullptr;
       std::vector<ClientUpdate> buffered;
 
       double aggregate_seconds = 0.0;
@@ -918,10 +581,11 @@ RunResult FederatedRunner::run_des(Method& method) {
             buffered.push_back(std::move(updates[i]));
           }
         }
-        if (monitor != nullptr) {
+        if (monitor != nullptr && end < events.size()) {
           // Long rounds over huge cohorts would otherwise leave the live
           // view stale between round boundaries; sample on a wall-clock
-          // cadence while waves drain (no-op within the interval).
+          // cadence while waves drain (no-op within the interval). After the
+          // last wave the round commit samples instead.
           monitor->on_wave(sim_time, result.rounds.size());
         }
       }
@@ -991,12 +655,14 @@ RunResult FederatedRunner::run_des(Method& method) {
       std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                     start_time)
           .count();
-  obs::count("des.participations", scheduler.total_participations());
-  obs::count("des.unique_participants", scheduler.unique_participants());
-  if (scheduler.forced_rounds() != 0) {
-    obs::count("des.forced_rounds", scheduler.forced_rounds());
+  if (des) {
+    obs::count("des.participations", scheduler.total_participations());
+    obs::count("des.unique_participants", scheduler.unique_participants());
+    if (scheduler.forced_rounds() != 0) {
+      obs::count("des.forced_rounds", scheduler.forced_rounds());
+    }
   }
-  if (tracing) {
+  if (tracing && des) {
     obs::trace(obs::TraceEvent("des_summary")
                    .field("registered_clients", config_.des.registered_clients)
                    .field("sample_per_round", scheduler.sample_per_round())
@@ -1007,9 +673,10 @@ RunResult FederatedRunner::run_des(Method& method) {
   }
   finish_run(result, tracing);
   if (monitor != nullptr) {
-    monitor->timeseries().sample(
-        config_.des.round_interval_s * static_cast<double>(global_round),
-        result.rounds.size());
+    // One closing sample so the final time-series row carries the run-end
+    // registry totals (fed.bytes_up etc.), then snapshot health into result.
+    monitor->timeseries().sample(scheduler.round_start_s(global_round),
+                                 result.rounds.size());
     monitor->finalize(result);
   }
   return result;

@@ -45,8 +45,8 @@ struct RunConfig {
   std::uint64_t seed = 1;       ///< scheduler + partition randomness
   double partition_skew = 1.0;  ///< quantity-shift strength
   /// Probability that a selected client fails to return its update this
-  /// round (straggler/dropout simulation). Rounds where every participant
-  /// drops are skipped entirely (no aggregation).
+  /// round (straggler/dropout simulation), in [0, 1]. Rounds where every
+  /// participant drops are skipped entirely (no aggregation).
   double dropout_probability = 0.0;
   /// Simulated transport faults (corruption, duplication, latency/deadline,
   /// retry budget — see fed/transport.hpp). The default profile is inert:
@@ -54,10 +54,13 @@ struct RunConfig {
   /// bitwise-identical to a transport-free one. All fault randomness derives
   /// from `seed`, so armed runs are exactly reproducible too.
   FaultProfile faults;
-  /// Discrete-event federation (see fed/scheduler.hpp). Disabled by default:
-  /// the dense every-client-every-round loop runs unchanged. When enabled,
-  /// rounds are simulated on a virtual clock — participants are sampled from
-  /// a registered population far larger than the data population, gated by
+  /// Discrete-event federation (see fed/scheduler.hpp). Both settings run
+  /// the same round loop. Disabled (the default) is the dense preset: each
+  /// round draws clients_per_round of the data population, every upload
+  /// arrives at simulated time 0 in participant order, and the updates are
+  /// buffered for one batch Method::aggregate(). When enabled, rounds are
+  /// simulated on a virtual clock — participants are sampled from a
+  /// registered population far larger than the data population, gated by
   /// availability traces, trained in bounded waves ordered by simulated
   /// arrival, and streamed into a sharded FedAvg accumulator so server
   /// memory stays flat no matter how many clients a round samples.
@@ -159,9 +162,11 @@ struct RunResult {
 
 class FederatedRunner {
  public:
+  /// Throws ConfigError when dropout_probability is outside [0, 1].
   explicit FederatedRunner(RunConfig config);
 
-  /// Run the full T-task curriculum with the given method.
+  /// Run the full T-task curriculum with the given method: per round,
+  /// broadcast, train the selected clients in waves, upload, aggregate.
   RunResult run(Method& method);
 
   /// Test split for a domain (cached) — exposed for analysis/benches.
@@ -172,10 +177,6 @@ class FederatedRunner {
   std::size_t parallelism() const { return parallelism_; }
 
  private:
-  /// The discrete-event round loop (RunConfig::des enabled). Same curriculum,
-  /// metering, and trace-event shapes as the dense loop; only participation,
-  /// timing, and aggregation memory behavior differ.
-  RunResult run_des(Method& method);
   void evaluate_task(Method& method, std::size_t task, RunResult& result);
   data::Dataset train_pool(std::size_t task) const;
 

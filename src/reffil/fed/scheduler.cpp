@@ -94,6 +94,18 @@ std::string format_knob(double v) {
   return buffer;
 }
 
+// A count knob must be a whole number that a size_t holds; a plain cast
+// would truncate 2.5 to 2 and is undefined for 1e30.
+std::size_t whole_count(const std::string& key, const std::string& value,
+                        double v) {
+  constexpr double kSizeLimit = 18446744073709551616.0;  // 2^64
+  if (v != std::floor(v) || v >= kSizeLimit) {
+    throw ConfigError("des spec value '" + value + "' for '" + key +
+                      "' is not a whole number in range");
+  }
+  return static_cast<std::size_t>(v);
+}
+
 }  // namespace
 
 std::string DesConfig::tag() const {
@@ -132,9 +144,9 @@ DesConfig DesConfig::parse(const std::string& spec) {
                         "' is not a non-negative number");
     }
     if (key == "registered") {
-      config.registered_clients = static_cast<std::size_t>(v);
+      config.registered_clients = whole_count(key, value, v);
     } else if (key == "sample") {
-      config.sample_per_round = static_cast<std::size_t>(v);
+      config.sample_per_round = whole_count(key, value, v);
     } else if (key == "offline") {
       config.offline_fraction = v;
     } else if (key == "diurnal") {
@@ -154,7 +166,10 @@ DesConfig DesConfig::parse(const std::string& spec) {
     } else if (key == "interval") {
       config.round_interval_s = v;
     } else if (key == "shards") {
-      config.accumulator_shards = static_cast<std::size_t>(v);
+      config.accumulator_shards = whole_count(key, value, v);
+      if (config.accumulator_shards == 0) {
+        throw ConfigError("des spec 'shards' must be at least 1");
+      }
     } else {
       throw ConfigError("unknown des spec key '" + key +
                         "' (known: registered, sample, offline, diurnal, "
@@ -174,7 +189,11 @@ DesConfig DesConfig::parse(const std::string& spec) {
 DesScheduler::DesScheduler(SchedulerConfig dense, DesConfig des,
                            std::uint64_t seed)
     : dense_(dense), des_(des), seed_(seed) {
-  REFFIL_CHECK_MSG(des_.enabled(), "DesScheduler needs registered clients");
+  if (!des_.enabled()) {
+    dense_draw_.emplace(dense_, seed_);
+    sample_ = dense_.clients_per_round;
+    return;
+  }
   sample_ = des_.sample_per_round == 0 ? dense_.clients_per_round
                                        : des_.sample_per_round;
   if (sample_ == 0 || sample_ > des_.registered_clients) {
@@ -220,6 +239,7 @@ bool DesScheduler::available(std::size_t client_id, double t) const {
 
 double DesScheduler::upload_delay(std::size_t client_id, std::size_t task,
                                   std::size_t round) const {
+  if (dense_draw_) return 0.0;
   double delay = des_.compute_s;
   if (des_.compute_jitter_s > 0.0) {
     const std::uint64_t per_round =
@@ -233,8 +253,14 @@ double DesScheduler::upload_delay(std::size_t client_id, std::size_t task,
   return delay;
 }
 
+double DesScheduler::round_start_s(std::size_t global_round) const {
+  if (dense_draw_) return 0.0;
+  return des_.round_interval_s * static_cast<double>(global_round);
+}
+
 RoundPlan DesScheduler::plan_round(std::size_t task, std::size_t round,
                                    double sim_time_s) {
+  if (dense_draw_) return dense_draw_->plan_round(task, round);
   const std::size_t n = des_.registered_clients;
   // Per-round derived generator: the cohort depends on (seed, task, round)
   // only, never on how earlier rounds consumed randomness — editing round 3

@@ -13,6 +13,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -68,10 +69,11 @@ class ClientIncrementScheduler {
 /// Knobs of the discrete-event federation. A registered population far larger
 /// than the data population is sampled per round; availability traces
 /// (diurnal cycles, churn, stragglers) gate who can be drawn and how late
-/// their uploads land. The default-constructed config is disabled: the dense
-/// every-client-every-round loop remains the runner's default path.
+/// their uploads land. The default-constructed config is disabled, which is
+/// the dense preset: DesScheduler then draws from the data population with
+/// ClientIncrementScheduler, with no delays and simulated time fixed at 0.
 struct DesConfig {
-  /// Size of the registered population; 0 disables the DES path entirely.
+  /// Size of the registered population; 0 disables the DES knobs entirely.
   std::size_t registered_clients = 0;
   /// Participants drawn per round; 0 means "use spec.clients_per_round".
   std::size_t sample_per_round = 0;
@@ -112,19 +114,23 @@ struct DesConfig {
   ///   "registered=1000000,sample=10000,offline=0.3,churn=1e-6,
   ///    straggler=0.05,straggler_latency=20,compute=5,jitter=3,shards=8"
   /// Keys: registered, sample, offline, diurnal, churn, rejoin, straggler,
-  /// straggler_latency, compute, jitter, interval, shards. Unknown keys or
-  /// unparsable values throw ConfigError; empty spec -> disabled config.
+  /// straggler_latency, compute, jitter, interval, shards. Unknown keys,
+  /// unparsable values, and counts (registered, sample, shards) that are not
+  /// whole numbers a size_t holds throw ConfigError, as does shards=0;
+  /// empty spec -> disabled config.
   static DesConfig parse(const std::string& spec);
 };
 
-/// Participation planner for the discrete-event runner. Holds NO live
-/// per-client actors: availability, straggler membership, and group
-/// assignment are pure functions of (seed, client, time), and the only
-/// O(registered) state is a compact per-client participation counter
-/// (4 bytes each — 4 MB for a million clients). Round plans are drawn from
-/// a per-round derived generator, so round r's cohort is reproducible from
-/// (seed, task, round) alone, independent of what earlier rounds did — the
-/// same seeded-reproducibility guarantee the dense scheduler gives.
+/// Participation planner for the runner: who takes part in a round, and
+/// when each upload lands. With a disabled DesConfig it delegates every draw
+/// to an owned ClientIncrementScheduler (the dense preset) and reports zero
+/// delays and round starts. Enabled, it holds NO live per-client actors:
+/// availability, straggler membership, and group assignment are pure
+/// functions of (seed, client, time), and the only O(registered) state is a
+/// compact per-client participation counter (4 bytes each — 4 MB for a
+/// million clients). Round plans are then drawn from a per-round derived
+/// generator, so round r's cohort is reproducible from (seed, task, round)
+/// alone, independent of what earlier rounds did.
 class DesScheduler {
  public:
   /// `dense` supplies the data-population growth schedule and the group
@@ -145,18 +151,25 @@ class DesScheduler {
 
   /// Simulated delay between a client receiving the broadcast and its upload
   /// starting: compute time + jitter + straggler penalty. Pure function of
-  /// (seed, client, task, round).
+  /// (seed, client, task, round); 0 in the dense preset.
   double upload_delay(std::size_t client_id, std::size_t task,
                       std::size_t round) const;
 
-  /// Draw one round's cohort from the available registered population at
-  /// simulated time `sim_time_s`. Rejection-samples without replacement and
-  /// falls back to a deterministic scan when availability is sparse; if
-  /// nobody at all is available the draw ignores availability rather than
-  /// stalling the round (counted in forced_rounds()).
+  /// Simulated start of the `global_round`-th round (0-based, across
+  /// tasks): round_interval_s apart, or 0 in the dense preset.
+  double round_start_s(std::size_t global_round) const;
+
+  /// Draw one round's cohort. Dense preset: the ClientIncrementScheduler
+  /// draw. Enabled: from the available registered population at simulated
+  /// time `sim_time_s`, rejection-sampling without replacement and falling
+  /// back to a deterministic scan when availability is sparse; if nobody at
+  /// all is available the draw ignores availability rather than stalling the
+  /// round (counted in forced_rounds()).
   RoundPlan plan_round(std::size_t task, std::size_t round, double sim_time_s);
 
   /// Number of distinct registered clients that have participated so far.
+  /// This and the two counters below are kept for enabled configs only (0 in
+  /// the dense preset).
   std::size_t unique_participants() const { return unique_; }
   /// Total participation events (one per selected client per round).
   std::uint64_t total_participations() const { return total_; }
@@ -169,6 +182,8 @@ class DesScheduler {
 
   SchedulerConfig dense_;
   DesConfig des_;
+  /// Set exactly when des_ is disabled: the dense preset's draw.
+  std::optional<ClientIncrementScheduler> dense_draw_;
   std::uint64_t seed_ = 0;
   std::size_t sample_ = 0;
   /// The ONLY per-registered-client state: participation counts.

@@ -80,6 +80,12 @@ FaultProfile FaultProfile::parse(const std::string& spec) {
     } else if (key == "deadline") {
       profile.deadline_s = v;
     } else if (key == "retries") {
+      // A plain cast would truncate 2.7 to 2 and is undefined past u32.
+      if (v != std::floor(v) ||
+          v > static_cast<double>(std::numeric_limits<std::uint32_t>::max())) {
+        throw ConfigError("fault profile value '" + value +
+                          "' for 'retries' is not a whole number in range");
+      }
       profile.max_retries = static_cast<std::uint32_t>(v);
     } else if (key == "backoff") {
       profile.backoff_s = v;

@@ -74,8 +74,9 @@ struct FaultProfile {
   /// Parse a comma-separated "key=value" spec, e.g.
   ///   "corrupt=0.2,poison=0.05,dup=0.1,latency=0.05,jitter=0.02,
   ///    deadline=0.5,retries=3,backoff=0.01"
-  /// Unknown keys or unparsable values throw ConfigError. An empty spec
-  /// yields the default (disabled) profile.
+  /// Unknown keys, unparsable values, and a retries value that is not a
+  /// whole number a u32 holds throw ConfigError. An empty spec yields the
+  /// default (disabled) profile.
   static FaultProfile parse(const std::string& spec);
 };
 
@@ -128,9 +129,10 @@ class Transport {
   /// Deliver a pre-framed broadcast to one client (wire faults only; the
   /// caller frames once and fans out, so per-client attempts reuse the same
   /// bytes). `start_s` is the simulated clock offset at which transmission
-  /// begins, counted against the round deadline — the discrete-event runner
-  /// passes each client's availability/compute delay here; the dense runner
-  /// leaves it at 0, keeping its behavior bitwise-identical.
+  /// begins, counted against the round deadline. The runner sends every
+  /// broadcast at round start (0) and passes each update's simulated upload
+  /// delay to send_update (DesScheduler::upload_delay, 0 in the dense
+  /// preset).
   Delivery send_broadcast(const std::vector<std::uint8_t>& framed,
                           double start_s = 0.0);
 

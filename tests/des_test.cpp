@@ -113,6 +113,19 @@ TEST(DesConfig, ParseRejectsBadSpecs) {
                ConfigError);
   EXPECT_THROW(fed::DesConfig::parse("registered=1000,offline=0.5,diurnal=0"),
                ConfigError);
+  // Counts must be whole numbers a size_t holds: a cast would run 2.5 as 2
+  // and is undefined for 1e30.
+  EXPECT_THROW(fed::DesConfig::parse("registered=1e30"), ConfigError);
+  EXPECT_THROW(fed::DesConfig::parse("registered=1000.5"), ConfigError);
+  EXPECT_THROW(fed::DesConfig::parse("registered=1000,sample=2.5"),
+               ConfigError);
+  EXPECT_THROW(fed::DesConfig::parse("registered=1000,shards=1.5"),
+               ConfigError);
+  // shards=0 would run as one shard but tag as "sh0": one behaviour, two
+  // cache keys.
+  EXPECT_THROW(fed::DesConfig::parse("registered=1000,shards=0"), ConfigError);
+  EXPECT_EQ(fed::DesConfig::parse("registered=1e6").registered_clients,
+            1'000'000u);
 }
 
 // ---- DesScheduler: sampling ------------------------------------------------
@@ -405,8 +418,8 @@ TEST(DesRuntime, SameSeedReproducesTheRunExactly) {
 TEST(DesRuntime, SampleEqualToPopulationMatchesTheDenseRun) {
   // With the registered population equal to the data population, everyone
   // available, and the sample covering the whole fleet, the DES run trains
-  // the same client set on the same shards as the dense loop; accuracies
-  // agree up to aggregation summation order.
+  // the same client set on the same shards as the dense preset; accuracies
+  // agree up to aggregation summation order (streamed vs batch FedAvg).
   const auto spec = tiny_spec();
   harness::ExperimentConfig config;
   config.parallelism = 1;

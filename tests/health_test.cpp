@@ -278,6 +278,34 @@ TEST(RunMonitorEndToEnd, MonitoredRunReportsAccountingOnTheResult) {
             result.monitor.samples_taken);
 }
 
+TEST(RunMonitorEndToEnd, MonitoredDesRunReportsAccountingOnTheResult) {
+  // The discrete-event twin: 10 sampled clients on one slot train in three
+  // waves per round. Waves sample only on the wall-clock cadence, so a fast
+  // run still takes one sample per committed round plus the closing one.
+  const auto spec = one_domain_spec();
+  harness::ExperimentConfig config;
+  config.parallelism = 1;
+  auto method = harness::make_method(harness::MethodKind::kFinetune, spec, config);
+  auto monitor = std::make_shared<fed::RunMonitor>(fed::MonitorConfig{});
+  fed::FederatedRunner runner(
+      {.spec = spec,
+       .parallelism = 1,
+       .seed = 3,
+       .des = fed::DesConfig::parse("registered=100,sample=10"),
+       .monitor = monitor});
+  const auto result = runner.run(*method);
+
+  EXPECT_TRUE(result.monitor.enabled);
+  EXPECT_EQ(result.monitor.samples_taken, result.rounds.size() + 1);
+  EXPECT_EQ(monitor->timeseries().summary().taken,
+            result.monitor.samples_taken);
+  const auto board = monitor->board().get();
+  EXPECT_TRUE(board.done);
+  EXPECT_EQ(board.rounds_done, result.rounds.size());
+  EXPECT_EQ(board.bytes_up, result.network.bytes_up);
+  EXPECT_EQ(board.bytes_down, result.network.bytes_down);
+}
+
 TEST(RunMonitorEndToEnd, ArmedMonitorLeavesRunBitwiseIdentical) {
   const auto spec = one_domain_spec();
   harness::ExperimentConfig config;

@@ -2,8 +2,11 @@
 // rounds, single-client federations, and the log-level plumbing.
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "reffil/fed/runtime.hpp"
 #include "reffil/harness/experiment.hpp"
+#include "reffil/util/error.hpp"
 #include "reffil/util/logging.hpp"
 
 using namespace reffil;
@@ -78,6 +81,18 @@ TEST(RuntimeEdge, BroadcastBytesAreMeteredForDroppedClients) {
   // Same rounds, same participant count, same per-round broadcast size for
   // an untrained-vs-trained finetune payload of fixed tensor shapes.
   EXPECT_EQ(lossy.network.bytes_down, lossless.network.bytes_down);
+}
+
+TEST(RuntimeEdge, DropoutProbabilityOutsideTheUnitIntervalIsRejected) {
+  const auto make_runner = [](double p) {
+    fed::FederatedRunner runner({.spec = one_domain_spec(),
+                                 .dropout_probability = p});
+  };
+  for (const double p : {-0.1, 1.5, std::nan("")}) {
+    EXPECT_THROW(make_runner(p), ConfigError) << p;
+  }
+  EXPECT_NO_THROW(make_runner(0.0));
+  EXPECT_NO_THROW(make_runner(1.0));
 }
 
 TEST(RuntimeEdge, SingleClientFederationWorks) {

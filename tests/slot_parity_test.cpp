@@ -3,8 +3,9 @@
 // free up, and methods build replicas (and LwF teachers) on a slot's first
 // use, so the slot that trains a client varies with `parallelism` and with
 // thread timing. Every per-domain accuracy, per-round byte count and fault
-// counter must still match the one-slot run bitwise, in the dense loop and
-// in the discrete-event loop with compression and transport faults armed.
+// counter must still match the one-slot run bitwise, in the dense preset
+// (where fewer slots also mean more training waves per round) and in the
+// discrete-event preset with compression and transport faults armed.
 // The methods covered are the ones with per-slot state beyond the replica.
 #include <gtest/gtest.h>
 

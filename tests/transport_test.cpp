@@ -185,6 +185,14 @@ TEST(FaultProfile, ParseRejectsBadSpecs) {
   EXPECT_THROW(fed::FaultProfile::parse("corrupt=abc"), ConfigError);
   EXPECT_THROW(fed::FaultProfile::parse("corrupt=-0.5"), ConfigError);
   EXPECT_THROW(fed::FaultProfile::parse("corrupt=1.5"), ConfigError);
+  // The retry budget is a count: no silent truncation, no overflow.
+  EXPECT_THROW(fed::FaultProfile::parse("corrupt=0.1,retries=2.7"),
+               ConfigError);
+  EXPECT_THROW(fed::FaultProfile::parse("corrupt=0.1,retries=4294967296"),
+               ConfigError);
+  EXPECT_EQ(fed::FaultProfile::parse("corrupt=0.1,retries=4294967295")
+                .max_retries,
+            4294967295u);
   EXPECT_FALSE(fed::FaultProfile::parse("").enabled());
 }
 

@@ -9,9 +9,9 @@
 //   --method NAME     Finetune | FedLwF | FedEWC | FedL2P | FedL2P+pool |
 //                     FedDualPrompt | FedDualPrompt+pool | RefFiL
 //   --order orig|new  domain order (default orig)
-//   --seed N          experiment seed (default 7)
+//   --seed N          experiment seed, a decimal u64 (default 7)
 //   --scale S         smoke | scaled | full (default scaled)
-//   --dropout P       client dropout probability (default 0)
+//   --dropout P       client dropout probability in [0, 1] (default 0)
 //   --fault-profile S transport fault spec, comma-separated key=value pairs
 //                     (corrupt=P,poison=P,dup=P,latency=S,jitter=S,deadline=S,
 //                     retries=N,backoff=S) — see fed/transport.hpp
@@ -51,6 +51,7 @@
 //                     monitored runs, and the resolved worker-slot count
 //                     "parallelism" beside the pool's "pool_threads")
 //   --list            print datasets and methods, then exit
+#include <cerrno>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -96,6 +97,26 @@ std::optional<harness::MethodKind> parse_method(const std::string& name) {
   if (name == "FedDualPrompt+pool") return K::kDualPromptPool;
   if (name == "RefFiL") return K::kRefFiL;
   return std::nullopt;
+}
+
+// Strict flag values: the whole string must parse, so "--seed abc" or
+// "--dropout nan" is an error rather than seed 0 or dropout off.
+std::optional<std::uint64_t> parse_seed(const char* text) {
+  if (*text < '0' || *text > '9') return std::nullopt;  // no sign, no space
+  char* end = nullptr;
+  errno = 0;
+  const unsigned long long v = std::strtoull(text, &end, 10);
+  if (*end != '\0' || errno == ERANGE) return std::nullopt;
+  return v;
+}
+
+std::optional<double> parse_probability(const char* text) {
+  char* end = nullptr;
+  const double v = std::strtod(text, &end);
+  if (end == text || *end != '\0' || !(v >= 0.0 && v <= 1.0)) {
+    return std::nullopt;
+  }
+  return v;
 }
 
 // Sum of per-round selected participants — under --des this counts sampled
@@ -331,7 +352,12 @@ int main(int argc, char** argv) {
     } else if (arg == "--seed") {
       const char* v = next();
       if (!v) return usage(argv[0]);
-      seed = std::strtoull(v, nullptr, 10);
+      const auto parsed = parse_seed(v);
+      if (!parsed) {
+        std::fprintf(stderr, "bad --seed '%s': expected a decimal u64\n", v);
+        return 2;
+      }
+      seed = *parsed;
     } else if (arg == "--scale") {
       const char* v = next();
       if (!v) return usage(argv[0]);
@@ -339,7 +365,13 @@ int main(int argc, char** argv) {
     } else if (arg == "--dropout") {
       const char* v = next();
       if (!v) return usage(argv[0]);
-      dropout = std::strtod(v, nullptr);
+      const auto parsed = parse_probability(v);
+      if (!parsed) {
+        std::fprintf(stderr,
+                     "bad --dropout '%s': expected a number in [0, 1]\n", v);
+        return 2;
+      }
+      dropout = *parsed;
     } else if (arg == "--fault-profile") {
       const char* v = next();
       if (!v) return usage(argv[0]);
