@@ -4,7 +4,6 @@
 // vs. plain averaging, serialization overhead, CDAP generation cost).
 #include <benchmark/benchmark.h>
 
-#include "reffil/autograd/graph.hpp"
 #include "reffil/autograd/ops.hpp"
 #include "reffil/core/cdap.hpp"
 #include "reffil/core/finch.hpp"
@@ -175,56 +174,6 @@ static void BM_TrainStep(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * batch);
 }
 BENCHMARK(BM_TrainStep)->Arg(4)->Arg(8);
-
-// The same client step through capture-and-replay (autograd/graph.hpp): one
-// capture outside the loop, then bind+replay+SGD per iteration. Compare
-// directly against BM_TrainStep at the same batch — the gap is the cost of
-// eager graph construction (node/closure churn and pool traffic) that the
-// arena plan eliminates.
-static void BM_GraphReplayStep(benchmark::State& state) {
-  const auto batch = static_cast<std::size_t>(state.range(0));
-  Rng rng(11);
-  reffil::nn::PromptNetConfig config;
-  reffil::nn::PromptNet net(config, rng);
-  std::vector<T::Tensor> images;
-  std::vector<std::size_t> labels;
-  std::vector<std::size_t> tags(batch, 0);
-  for (std::size_t i = 0; i < batch; ++i) {
-    images.push_back(T::randn({1, 16, 16}, rng));
-    labels.push_back(i % config.num_classes);
-  }
-  reffil::nn::SgdOptimizer optimizer(net.parameters(),
-                                     {.learning_rate = 0.01f, .momentum = 0.9f});
-  std::shared_ptr<AG::graph::CapturedGraph> graph;
-  {
-    AG::graph::Capture capture;
-    AG::Var total;
-    for (std::size_t i = 0; i < batch; ++i) {
-      const auto out = net.forward(images[i]);
-      const AG::Var ce = AG::cross_entropy_logits(out.logits, {labels[i]});
-      total = (i == 0) ? ce : AG::add(total, ce);
-    }
-    const AG::Var loss =
-        AG::mul_scalar(total, 1.0f / static_cast<float>(batch));
-    AG::backward(loss);
-    graph = capture.finish(loss, false, tags);
-  }
-  if (!graph) {
-    state.SkipWithError("train step failed to capture");
-    return;
-  }
-  std::vector<const T::Tensor*> image_ptrs;
-  for (const auto& image : images) image_ptrs.push_back(&image);
-  for (auto _ : state) {
-    optimizer.zero_grad();
-    graph->bind(image_ptrs, labels, tags);
-    graph->replay();
-    optimizer.step();
-    benchmark::DoNotOptimize(net.parameters().front()->grad());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * batch);
-}
-BENCHMARK(BM_GraphReplayStep)->Arg(4)->Arg(8);
 
 // Scratch-pool miss cost with and without the zero-fill. clear_thread_cache
 // forces every borrow down the allocator path; both variants pay that

@@ -6,24 +6,18 @@
 // (tensor/pool.hpp) instead of allocated, and hot loops walk raw pointers
 // rather than the bounds-checked Tensor::at().
 //
-// Forward passes follow the graph-capture convention (autograd/graph.hpp):
-// every op allocates its value placeholder, builds the node, and computes
-// the value by running a closure through graph::record() that writes the
-// node's storage in place with the *_into kernels. Eager mode and graph
-// replay execute the same closure, so replayed values are bitwise-identical
-// to eager by construction. Closures capture raw Node* (self/parents): in
-// eager mode they die inside record(), and under capture the CapturedGraph
-// keeps every referenced node alive. Forward intermediates that backward
+// Forward passes allocate the node's value, build the node, then write the
+// value in place with the *_into kernels. Forward intermediates that backward
 // also needs (softmax probabilities, im2col columns, layer-norm statistics)
-// live in shared aux buffers allocated once at op-build time and refreshed
-// by the forward closure on every replay.
+// live in aux buffers shared with the backward closure. Closures that read
+// the node's own value capture it as a raw Node*: capturing the Var would be
+// an ownership cycle.
 #include "reffil/autograd/ops.hpp"
 
 #include <algorithm>
 #include <array>
 #include <cmath>
 
-#include "reffil/autograd/graph.hpp"
 #include "reffil/tensor/kernels_dispatch.hpp"
 #include "reffil/tensor/ops.hpp"
 #include "reffil/tensor/pool.hpp"
@@ -52,9 +46,7 @@ Var add(const Var& a, const Var& b) {
                         if (a->requires_grad()) a->accumulate_grad(g);
                         if (b->requires_grad()) b->accumulate_grad(g);
                       });
-  graph::record(out, [self = out.get(), pa = a.get(), pb = b.get()] {
-    T::add_into(pa->value(), pb->value(), self->mutable_value());
-  });
+  T::add_into(a->value(), b->value(), out->mutable_value());
   return out;
 }
 
@@ -68,9 +60,7 @@ Var sub(const Var& a, const Var& b) {
                           b->accumulate_grad(*db);
                         }
                       });
-  graph::record(out, [self = out.get(), pa = a.get(), pb = b.get()] {
-    T::sub_into(pa->value(), pb->value(), self->mutable_value());
-  });
+  T::sub_into(a->value(), b->value(), out->mutable_value());
   return out;
 }
 
@@ -88,18 +78,14 @@ Var mul(const Var& a, const Var& b) {
                           b->accumulate_grad(*db);
                         }
                       });
-  graph::record(out, [self = out.get(), pa = a.get(), pb = b.get()] {
-    T::mul_into(pa->value(), pb->value(), self->mutable_value());
-  });
+  T::mul_into(a->value(), b->value(), out->mutable_value());
   return out;
 }
 
 Var add_scalar(const Var& a, float s) {
   Var out = make_node(T::Tensor(a->value().shape()), {a},
                       [a](const T::Tensor& g) { a->accumulate_grad(g); });
-  graph::record(out, [self = out.get(), pa = a.get(), s] {
-    T::add_scalar_into(pa->value(), s, self->mutable_value());
-  });
+  T::add_scalar_into(a->value(), s, out->mutable_value());
   return out;
 }
 
@@ -110,9 +96,7 @@ Var mul_scalar(const Var& a, float s) {
                         T::mul_scalar_into(g, s, *da);
                         a->accumulate_grad(*da);
                       });
-  graph::record(out, [self = out.get(), pa = a.get(), s] {
-    T::mul_scalar_into(pa->value(), s, self->mutable_value());
-  });
+  T::mul_scalar_into(a->value(), s, out->mutable_value());
   return out;
 }
 
@@ -133,17 +117,14 @@ Var relu(const Var& a) {
         a->accumulate_grad(*dx);
       },
       ps.name(), ps.corr());
-  graph::record(out, [self = out.get(), pa = a.get()] {
-    T::relu_into(pa->value(), self->mutable_value());
-  });
+  T::relu_into(a->value(), out->mutable_value());
   return out;
 }
 
 Var tanh(const Var& a) {
   Var out = make_node(T::Tensor(a->value().shape()), {a}, {});
   if (out->requires_grad()) {
-    // Reads y from the node's own value, which the forward closure refreshes
-    // on every replay — never a stale captured copy.
+    // Reads y from the node's own value instead of keeping a copy.
     out->set_backward([a, self = out.get()](const T::Tensor& g) {
       T::pool::Scratch dx(g.shape(), /*zero=*/false);
       const float* py = self->value().begin();
@@ -155,9 +136,7 @@ Var tanh(const Var& a) {
       a->accumulate_grad(*dx);
     });
   }
-  graph::record(out, [self = out.get(), pa = a.get()] {
-    T::tanh_into(pa->value(), self->mutable_value());
-  });
+  T::tanh_into(a->value(), out->mutable_value());
   return out;
 }
 
@@ -175,9 +154,7 @@ Var sigmoid(const Var& a) {
       a->accumulate_grad(*dx);
     });
   }
-  graph::record(out, [self = out.get(), pa = a.get()] {
-    T::sigmoid_into(pa->value(), self->mutable_value());
-  });
+  T::sigmoid_into(a->value(), out->mutable_value());
   return out;
 }
 
@@ -190,9 +167,7 @@ Var exp(const Var& a) {
       a->accumulate_grad(*dx);
     });
   }
-  graph::record(out, [self = out.get(), pa = a.get()] {
-    T::exp_into(pa->value(), self->mutable_value());
-  });
+  T::exp_into(a->value(), out->mutable_value());
   return out;
 }
 
@@ -203,23 +178,7 @@ Var log(const Var& a) {
                         T::div_into(g, a->value(), *dx);
                         a->accumulate_grad(*dx);
                       });
-  graph::record(out, [self = out.get(), pa = a.get()] {
-    T::log_into(pa->value(), self->mutable_value());
-  });
-  return out;
-}
-
-Var detach(const Var& a) {
-  // A constant-valued copy of `a` that blocks gradient flow. Unlike
-  // autograd::constant(a->value()), the link to the producer is preserved
-  // under capture, so a replayed graph re-reads the refreshed upstream value
-  // instead of replaying a frozen snapshot.
-  auto out = std::make_shared<Node>(T::Tensor(a->value().shape()),
-                                    /*requires_grad=*/false);
-  if (graph::detail::capture_active()) graph::detail::track_external(out, {a});
-  graph::record(out, [self = out.get(), pa = a.get()] {
-    T::copy_into(pa->value(), self->mutable_value());
-  });
+  T::log_into(a->value(), out->mutable_value());
   return out;
 }
 
@@ -249,9 +208,7 @@ Var matmul(const Var& a, const Var& b) {
         }
       },
       ps.name(), ps.corr());
-  graph::record(out, [self = out.get(), pa = a.get(), pb = b.get()] {
-    T::matmul_into(pa->value(), pb->value(), self->mutable_value());
-  });
+  T::matmul_into(a->value(), b->value(), out->mutable_value());
   return out;
 }
 
@@ -279,9 +236,7 @@ Var matmul_nt(const Var& a, const Var& b) {
         }
       },
       ps.name(), ps.corr());
-  graph::record(out, [self = out.get(), pa = a.get(), pb = b.get()] {
-    T::matmul_nt_into(pa->value(), pb->value(), self->mutable_value());
-  });
+  T::matmul_nt_into(a->value(), b->value(), out->mutable_value());
   return out;
 }
 
@@ -293,9 +248,7 @@ Var transpose(const Var& a) {
                         T::transpose2d_into(g, *da);
                         a->accumulate_grad(*da);
                       });
-  graph::record(out, [self = out.get(), pa = a.get()] {
-    T::transpose2d_into(pa->value(), self->mutable_value());
-  });
+  T::transpose2d_into(a->value(), out->mutable_value());
   return out;
 }
 
@@ -318,14 +271,12 @@ Var add_rowvec(const Var& x, const Var& b) {
         }
       },
       ps.name(), ps.corr());
-  graph::record(out, [self = out.get(), px = x.get(), pb = b.get(), m, n] {
-    const float* pxv = px->value().begin();
-    const float* pbv = pb->value().begin();
-    float* pv = self->mutable_value().begin();
-    for (std::size_t i = 0; i < m; ++i) {
-      for (std::size_t j = 0; j < n; ++j) pv[i * n + j] = pxv[i * n + j] + pbv[j];
-    }
-  });
+  const float* pxv = x->value().begin();
+  const float* pbv = b->value().begin();
+  float* pv = out->mutable_value().begin();
+  for (std::size_t i = 0; i < m; ++i) {
+    for (std::size_t j = 0; j < n; ++j) pv[i * n + j] = pxv[i * n + j] + pbv[j];
+  }
   return out;
 }
 
@@ -388,18 +339,15 @@ Var rowwise_affine(const Var& x, const Var& alpha, const Var& lambda) {
                         }
                       },
                       ps.name(), ps.corr());
-  graph::record(out, [self = out.get(), px = x.get(), pa = alpha.get(),
-                      pl = lambda.get(), m, n] {
-    const float* pxv = px->value().begin();
-    const float* pav = pa->value().begin();
-    const float* plv = pl->value().begin();
-    float* pv = self->mutable_value().begin();
-    for (std::size_t i = 0; i < m; ++i) {
-      const float ai = pav[i];
-      const float li = plv[i];
-      for (std::size_t j = 0; j < n; ++j) pv[i * n + j] = ai * (pxv[i * n + j] + li);
-    }
-  });
+  const float* pxv = x->value().begin();
+  const float* pav = alpha->value().begin();
+  const float* plv = lambda->value().begin();
+  float* pv = out->mutable_value().begin();
+  for (std::size_t i = 0; i < m; ++i) {
+    const float ai = pav[i];
+    const float li = plv[i];
+    for (std::size_t j = 0; j < n; ++j) pv[i * n + j] = ai * (pxv[i * n + j] + li);
+  }
   return out;
 }
 
@@ -413,9 +361,7 @@ Var reshape(const Var& a, tensor::Shape shape) {
                         T::copy_into(g, *da);
                         a->accumulate_grad(*da);
                       });
-  graph::record(out, [self = out.get(), pa = a.get()] {
-    T::copy_into(pa->value(), self->mutable_value());
-  });
+  T::copy_into(a->value(), out->mutable_value());
   return out;
 }
 
@@ -444,11 +390,9 @@ Var concat_rows(const Var& a, const Var& b) {
                           b->accumulate_grad(*db);
                         }
                       });
-  graph::record(out, [self = out.get(), pa = a.get(), pb = b.get()] {
-    float* pv = self->mutable_value().begin();
-    pv = std::copy(pa->value().begin(), pa->value().end(), pv);
-    std::copy(pb->value().begin(), pb->value().end(), pv);
-  });
+  float* pv = out->mutable_value().begin();
+  pv = std::copy(a->value().begin(), a->value().end(), pv);
+  std::copy(b->value().begin(), b->value().end(), pv);
   return out;
 }
 
@@ -485,15 +429,13 @@ Var concat_cols(const Var& a, const Var& b) {
                           b->accumulate_grad(*db);
                         }
                       });
-  graph::record(out, [self = out.get(), pa = a.get(), pb = b.get(), m, na, nb] {
-    const float* pav = pa->value().begin();
-    const float* pbv = pb->value().begin();
-    float* pv = self->mutable_value().begin();
-    for (std::size_t i = 0; i < m; ++i) {
-      std::copy(pav + i * na, pav + (i + 1) * na, pv + i * (na + nb));
-      std::copy(pbv + i * nb, pbv + (i + 1) * nb, pv + i * (na + nb) + na);
-    }
-  });
+  const float* pav = a->value().begin();
+  const float* pbv = b->value().begin();
+  float* pv = out->mutable_value().begin();
+  for (std::size_t i = 0; i < m; ++i) {
+    std::copy(pav + i * na, pav + (i + 1) * na, pv + i * (na + nb));
+    std::copy(pbv + i * nb, pbv + (i + 1) * nb, pv + i * (na + nb) + na);
+  }
   return out;
 }
 
@@ -512,10 +454,8 @@ Var slice_rows(const Var& a, std::size_t begin, std::size_t end) {
                         }
                         a->accumulate_grad(*da);
                       });
-  graph::record(out, [self = out.get(), pa = a.get(), begin, end, n] {
-    std::copy(pa->value().begin() + begin * n, pa->value().begin() + end * n,
-              self->mutable_value().begin());
-  });
+  std::copy(a->value().begin() + begin * n, a->value().begin() + end * n,
+            out->mutable_value().begin());
   return out;
 }
 
@@ -534,13 +474,11 @@ Var slice_cols(const Var& a, std::size_t begin, std::size_t end) {
                         }
                         a->accumulate_grad(*da);
                       });
-  graph::record(out, [self = out.get(), pa = a.get(), begin, end, m, n, w] {
-    const float* pav = pa->value().begin();
-    float* pv = self->mutable_value().begin();
-    for (std::size_t i = 0; i < m; ++i) {
-      std::copy(pav + i * n + begin, pav + i * n + end, pv + i * w);
-    }
-  });
+  const float* pav = a->value().begin();
+  float* pv = out->mutable_value().begin();
+  for (std::size_t i = 0; i < m; ++i) {
+    std::copy(pav + i * n + begin, pav + i * n + end, pv + i * w);
+  }
   return out;
 }
 
@@ -554,11 +492,9 @@ Var select_row(const Var& table, std::size_t index) {
                         std::copy(g.begin(), g.begin() + n, dt->begin() + index * n);
                         table->accumulate_grad(*dt);
                       });
-  graph::record(out, [self = out.get(), pt = table.get(), index, n] {
-    std::copy(pt->value().begin() + index * n,
-              pt->value().begin() + (index + 1) * n,
-              self->mutable_value().begin());
-  });
+  std::copy(table->value().begin() + index * n,
+            table->value().begin() + (index + 1) * n,
+            out->mutable_value().begin());
   return out;
 }
 
@@ -569,9 +505,7 @@ Var sum_all(const Var& a) {
                         std::fill(da->begin(), da->end(), g.item());
                         a->accumulate_grad(*da);
                       });
-  graph::record(out, [self = out.get(), pa = a.get()] {
-    self->mutable_value().begin()[0] = T::sum_all(pa->value());
-  });
+  out->mutable_value().begin()[0] = T::sum_all(a->value());
   return out;
 }
 
@@ -583,9 +517,7 @@ Var mean_all(const Var& a) {
                         std::fill(da->begin(), da->end(), g.item() * inv);
                         a->accumulate_grad(*da);
                       });
-  graph::record(out, [self = out.get(), pa = a.get()] {
-    self->mutable_value().begin()[0] = T::mean_all(pa->value());
-  });
+  out->mutable_value().begin()[0] = T::mean_all(a->value());
   return out;
 }
 
@@ -604,10 +536,8 @@ Var mean_rows(const Var& a) {
                         }
                         a->accumulate_grad(*da);
                       });
-  graph::record(out, [self = out.get(), pa = a.get(), m] {
-    T::sum_rows_into(pa->value(), self->mutable_value());
-    T::scale_inplace(self->mutable_value(), 1.0f / static_cast<float>(m));
-  });
+  T::sum_rows_into(a->value(), out->mutable_value());
+  T::scale_inplace(out->mutable_value(), 1.0f / static_cast<float>(m));
   return out;
 }
 
@@ -619,8 +549,8 @@ Var layer_norm(const Var& x, const Var& gain, const Var& bias, float eps) {
     throw ShapeError("layer_norm: gain/bias must be [n]");
   }
   prof::OpSpan ps("ag.layer_norm");
-  // Per-row inv-std and normalized values, needed again by backward: shared
-  // aux buffers, allocated once here and refreshed by the forward closure.
+  // Per-row inv-std and normalized values, needed again by backward: aux
+  // buffers filled by the forward pass below.
   auto xhat = std::make_shared<T::Tensor>(T::Shape{m, n});
   auto inv_std = std::make_shared<std::vector<float>>(m);
   Var out = make_node(T::Tensor({m, n}), {x, gain, bias},
@@ -668,32 +598,29 @@ Var layer_norm(const Var& x, const Var& gain, const Var& bias, float eps) {
                         }
                       },
                       ps.name(), ps.corr());
-  graph::record(out, [self = out.get(), px = x.get(), pgain_n = gain.get(),
-                      pbias_n = bias.get(), xhat, inv_std, m, n, eps] {
-    const float* pgain = pgain_n->value().begin();
-    const float* pbias = pbias_n->value().begin();
-    float* ph = xhat->begin();
-    float* pv = self->mutable_value().begin();
-    for (std::size_t i = 0; i < m; ++i) {
-      const float* src = px->value().begin() + i * n;
-      double mean = 0.0;
-      for (std::size_t j = 0; j < n; ++j) mean += src[j];
-      mean /= static_cast<double>(n);
-      double var = 0.0;
-      for (std::size_t j = 0; j < n; ++j) {
-        const double d = src[j] - mean;
-        var += d * d;
-      }
-      var /= static_cast<double>(n);
-      const float istd = static_cast<float>(1.0 / std::sqrt(var + eps));
-      (*inv_std)[i] = istd;
-      for (std::size_t j = 0; j < n; ++j) {
-        const float h = (src[j] - static_cast<float>(mean)) * istd;
-        ph[i * n + j] = h;
-        pv[i * n + j] = h * pgain[j] + pbias[j];
-      }
+  const float* pgain = gain->value().begin();
+  const float* pbias = bias->value().begin();
+  float* ph = xhat->begin();
+  float* pv = out->mutable_value().begin();
+  for (std::size_t i = 0; i < m; ++i) {
+    const float* src = x->value().begin() + i * n;
+    double mean = 0.0;
+    for (std::size_t j = 0; j < n; ++j) mean += src[j];
+    mean /= static_cast<double>(n);
+    double var = 0.0;
+    for (std::size_t j = 0; j < n; ++j) {
+      const double d = src[j] - mean;
+      var += d * d;
     }
-  });
+    var /= static_cast<double>(n);
+    const float istd = static_cast<float>(1.0 / std::sqrt(var + eps));
+    (*inv_std)[i] = istd;
+    for (std::size_t j = 0; j < n; ++j) {
+      const float h = (src[j] - static_cast<float>(mean)) * istd;
+      ph[i * n + j] = h;
+      pv[i * n + j] = h * pgain[j] + pbias[j];
+    }
+  }
   return out;
 }
 
@@ -703,8 +630,7 @@ Var softmax_rows(const Var& logits) {
   const std::size_t m = logits->value().dim(0), n = logits->value().dim(1);
   Var out = make_node(T::Tensor({m, n}), {logits}, {}, op.name(), op.corr());
   if (out->requires_grad()) {
-    // s is the node's own value — refreshed by the forward closure, so the
-    // backward never sees a stale softmax under replay.
+    // s is the node's own value.
     out->set_backward([logits, self = out.get(), m, n](const T::Tensor& g) {
       // dx_ij = s_ij * (g_ij - sum_k g_ik * s_ik)
       T::pool::Scratch dx({m, n}, /*zero=*/false);
@@ -724,9 +650,7 @@ Var softmax_rows(const Var& logits) {
       logits->accumulate_grad(*dx);
     });
   }
-  graph::record(out, [self = out.get(), pl = logits.get()] {
-    T::softmax_rows_into(pl->value(), self->mutable_value());
-  });
+  T::softmax_rows_into(logits->value(), out->mutable_value());
   return out;
 }
 
@@ -737,36 +661,30 @@ Var cross_entropy_logits(const Var& logits, const std::vector<std::size_t>& labe
   for (std::size_t label : labels) REFFIL_CHECK_MSG(label < k, "label out of range");
 
   prof::OpSpan ps("ag.cross_entropy");
-  auto labels_copy = std::make_shared<std::vector<std::size_t>>(labels);
-  graph::record_labels(labels_copy, k);
-  // Softmax probabilities feed backward; the forward closure recomputes them
-  // (and the log-softmax the loss reads) into this shared aux on each run.
+  // Softmax probabilities feed backward; the forward pass below fills them.
   auto probs = std::make_shared<T::pool::Scratch>(T::Shape{m, k}, /*zero=*/false);
   Var out = make_node(T::Tensor::scalar(0.0f), {logits},
-                      [logits, probs, labels_copy, m, k](const T::Tensor& g) {
+                      [logits, probs, labels, m, k](const T::Tensor& g) {
                         const float scale = g.item() / static_cast<float>(m);
                         T::pool::Scratch dx({m, k}, /*zero=*/false);
                         const float* pp = probs->tensor().begin();
                         float* d = dx->begin();
                         for (std::size_t i = 0; i < m * k; ++i) d[i] = pp[i];
                         for (std::size_t i = 0; i < m; ++i) {
-                          d[i * k + (*labels_copy)[i]] -= 1.0f;
+                          d[i * k + labels[i]] -= 1.0f;
                         }
                         T::scale_inplace(*dx, scale);
                         logits->accumulate_grad(*dx);
                       },
                       ps.name(), ps.corr());
-  graph::record(out, [self = out.get(), pl = logits.get(), probs, labels_copy,
-                      m, k] {
-    T::pool::Scratch log_probs({m, k}, /*zero=*/false);
-    T::log_softmax_rows_into(pl->value(), *log_probs);
-    const float* plp = log_probs->begin();
-    double loss = 0.0;
-    for (std::size_t i = 0; i < m; ++i) loss -= plp[i * k + (*labels_copy)[i]];
-    loss /= static_cast<double>(m);
-    T::softmax_rows_into(pl->value(), probs->tensor());
-    self->mutable_value().begin()[0] = static_cast<float>(loss);
-  });
+  T::pool::Scratch log_probs({m, k}, /*zero=*/false);
+  T::log_softmax_rows_into(logits->value(), *log_probs);
+  const float* plp = log_probs->begin();
+  double loss = 0.0;
+  for (std::size_t i = 0; i < m; ++i) loss -= plp[i * k + labels[i]];
+  loss /= static_cast<double>(m);
+  T::softmax_rows_into(logits->value(), probs->tensor());
+  out->mutable_value().begin()[0] = static_cast<float>(loss);
   return out;
 }
 
@@ -782,7 +700,7 @@ Var distillation_loss(const Var& student_logits, const tensor::Tensor& teacher_p
 
   prof::OpSpan ps("ag.distill");
   // One shared copy of the teacher distribution (it is a constant) plus the
-  // student softmax q, which backward reads and forward refreshes.
+  // student softmax q, which backward reads and the forward pass fills.
   auto teacher = std::make_shared<T::Tensor>(teacher_probs);
   auto q = std::make_shared<T::pool::Scratch>(T::Shape{m, k}, /*zero=*/false);
   Var out = make_node(T::Tensor::scalar(0.0f), {student_logits},
@@ -800,21 +718,18 @@ Var distillation_loss(const Var& student_logits, const tensor::Tensor& teacher_p
                         student_logits->accumulate_grad(*dx);
                       },
                       ps.name(), ps.corr());
-  graph::record(out, [self = out.get(), pstu = student_logits.get(), q, teacher,
-                      temperature, m, k] {
-    T::pool::Scratch scaled({m, k}, /*zero=*/false);
-    T::mul_scalar_into(pstu->value(), 1.0f / temperature, *scaled);
-    T::pool::Scratch log_q({m, k}, /*zero=*/false);
-    T::log_softmax_rows_into(*scaled, *log_q);
-    // loss = -(1/m) * sum_ij p_ij log q_ij (constant teacher-entropy term dropped)
-    const float* pp = teacher->begin();
-    const float* plq = log_q->begin();
-    double loss = 0.0;
-    for (std::size_t i = 0; i < m * k; ++i) loss -= double(pp[i]) * plq[i];
-    loss /= static_cast<double>(m);
-    T::softmax_rows_into(*scaled, q->tensor());
-    self->mutable_value().begin()[0] = static_cast<float>(loss);
-  });
+  T::pool::Scratch scaled({m, k}, /*zero=*/false);
+  T::mul_scalar_into(student_logits->value(), 1.0f / temperature, *scaled);
+  T::pool::Scratch log_q({m, k}, /*zero=*/false);
+  T::log_softmax_rows_into(*scaled, *log_q);
+  // loss = -(1/m) * sum_ij p_ij log q_ij (constant teacher-entropy term dropped)
+  const float* pp = teacher->begin();
+  const float* plq = log_q->begin();
+  double loss = 0.0;
+  for (std::size_t i = 0; i < m * k; ++i) loss -= double(pp[i]) * plq[i];
+  loss /= static_cast<double>(m);
+  T::softmax_rows_into(*scaled, q->tensor());
+  out->mutable_value().begin()[0] = static_cast<float>(loss);
   return out;
 }
 
@@ -823,7 +738,7 @@ Var cosine_similarity(const Var& a, const Var& b) {
                    "cosine_similarity: size mismatch");
   prof::OpSpan ps("ag.cosine");
   // aux = {cos, norm_a, norm_b}: backward needs all three, and the forward
-  // closure recomputes them from the live parent values on every run.
+  // pass below computes them.
   auto aux = std::make_shared<std::array<double, 3>>();
   Var out = make_node(
       T::Tensor::scalar(0.0f), {a, b},
@@ -854,25 +769,23 @@ Var cosine_similarity(const Var& a, const Var& b) {
         }
       },
       ps.name(), ps.corr());
-  graph::record(out, [self = out.get(), pa_n = a.get(), pb_n = b.get(), aux] {
-    const float* pa = pa_n->value().begin();
-    const float* pb = pb_n->value().begin();
-    const std::size_t n = pa_n->value().numel();
-    double num = 0.0, na2 = 0.0, nb2 = 0.0;
-    for (std::size_t i = 0; i < n; ++i) {
-      num += double(pa[i]) * pb[i];
-      na2 += double(pa[i]) * pa[i];
-      nb2 += double(pb[i]) * pb[i];
-    }
-    const double eps = 1e-12;
-    const double norm_a = std::sqrt(na2) + eps;
-    const double norm_b = std::sqrt(nb2) + eps;
-    const double cos = num / (norm_a * norm_b);
-    (*aux)[0] = cos;
-    (*aux)[1] = norm_a;
-    (*aux)[2] = norm_b;
-    self->mutable_value().begin()[0] = static_cast<float>(cos);
-  });
+  const float* pa = a->value().begin();
+  const float* pb = b->value().begin();
+  const std::size_t n = a->value().numel();
+  double num = 0.0, na2 = 0.0, nb2 = 0.0;
+  for (std::size_t i = 0; i < n; ++i) {
+    num += double(pa[i]) * pb[i];
+    na2 += double(pa[i]) * pa[i];
+    nb2 += double(pb[i]) * pb[i];
+  }
+  const double eps = 1e-12;
+  const double norm_a = std::sqrt(na2) + eps;
+  const double norm_b = std::sqrt(nb2) + eps;
+  const double cos = num / (norm_a * norm_b);
+  (*aux)[0] = cos;
+  (*aux)[1] = norm_a;
+  (*aux)[2] = norm_b;
+  out->mutable_value().begin()[0] = static_cast<float>(cos);
   return out;
 }
 
@@ -977,21 +890,18 @@ Var conv2d(const Var& input, const Var& weight, const Var& bias, std::size_t kh,
         }
       },
       ps.name(), ps.corr());
-  graph::record(out, [self = out.get(), pin = input.get(), pw = weight.get(),
-                      pb = bias.get(), col, geom, cout, hw] {
-    im2col_into(pin->value(), geom, **col);
-    // The [Cout, Hout*Wout] matmul lands directly in the node's [Cout, Hout,
-    // Wout] storage via a rank-2 view — same bytes, no reshape copy.
-    T::Tensor out2d =
-        T::Tensor::view(self->mutable_value().begin(), {cout, hw});
-    T::matmul_into(pw->value(), **col, out2d);
-    const float* pbias = pb->value().begin();
-    float* po = out2d.begin();
-    for (std::size_t c = 0; c < cout; ++c) {
-      const float b = pbias[c];
-      for (std::size_t p = 0; p < hw; ++p) po[c * hw + p] += b;
-    }
-  });
+  im2col_into(input->value(), geom, **col);
+  // The [Cout, Hout*Wout] matmul lands directly in the node's [Cout, Hout,
+  // Wout] storage via a rank-2 view — same bytes, no reshape copy.
+  T::Tensor out2d =
+      T::Tensor::view(out->mutable_value().begin(), {cout, hw});
+  T::matmul_into(weight->value(), **col, out2d);
+  const float* pbias = bias->value().begin();
+  float* po = out2d.begin();
+  for (std::size_t c = 0; c < cout; ++c) {
+    const float b = pbias[c];
+    for (std::size_t p = 0; p < hw; ++p) po[c * hw + p] += b;
+  }
   return out;
 }
 

@@ -28,11 +28,6 @@ Var sigmoid(const Var& a);
 Var exp(const Var& a);
 /// Natural log; input must be strictly positive.
 Var log(const Var& a);
-/// Copy of `a`'s value that blocks gradient flow (requires_grad = false).
-/// Prefer this over constant(a->value()) when the source is itself a graph
-/// node: under graph capture the producer link is kept, so a replayed graph
-/// re-reads the refreshed upstream value instead of a frozen snapshot.
-Var detach(const Var& a);
 
 // ---- linear algebra ------------------------------------------------------------
 /// [m,k] x [k,n] -> [m,n].

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <unordered_set>
 
-#include "reffil/autograd/graph.hpp"
 #include "reffil/tensor/ops.hpp"
 #include "reffil/util/error.hpp"
 #include "reffil/util/prof.hpp"
@@ -18,9 +17,9 @@ void Node::accumulate_grad(const tensor::Tensor& g) {
   }
   if (!grad_initialized_) {
     if (grad_.shape() == value_.shape()) {
-      // Reuse the existing storage (owning buffer or arena view): a plain
-      // element copy is bitwise-identical to assigning a fresh copy of g,
-      // and it is what keeps replayed steps allocation-free.
+      // Reuse the existing storage: a plain element copy is
+      // bitwise-identical to assigning a fresh copy of g, and allocates
+      // nothing.
       std::copy(g.begin(), g.end(), grad_.begin());
     } else {
       grad_ = g;
@@ -29,13 +28,6 @@ void Node::accumulate_grad(const tensor::Tensor& g) {
   } else {
     tensor::add_inplace(grad_, g);
   }
-}
-
-void Node::adopt_grad_storage(tensor::Tensor storage) {
-  REFFIL_CHECK_MSG(storage.shape() == value_.shape(),
-                   "adopt_grad_storage: shape mismatch");
-  grad_ = std::move(storage);
-  grad_initialized_ = false;
 }
 
 Var constant(tensor::Tensor value) {
@@ -54,10 +46,6 @@ Var make_node(tensor::Tensor value, std::vector<Var> parents,
   bool needs_grad = false;
   for (const auto& p : parents) needs_grad = needs_grad || p->requires_grad();
   auto node = std::make_shared<Node>(std::move(value), needs_grad);
-  // The capture context keeps its own copy of the parent edges: when
-  // needs_grad is false they are dropped from the node below, but replay
-  // still has to keep every upstream value alive for the forward closures.
-  if (graph::detail::capture_active()) graph::detail::track_node(node, parents);
   if (needs_grad) {
     node->set_parents(std::move(parents));
     node->set_backward(std::move(backward_fn));
@@ -107,7 +95,6 @@ void backward(const Var& root) {
 
   std::vector<Node*> order;
   topo_sort(root, order);
-  if (graph::detail::capture_active()) graph::detail::on_backward(root, order);
 
   root->accumulate_grad(tensor::ones(root->value().shape()));
   // order is post-order (root last); sweep from the root backwards. Each

@@ -53,16 +53,6 @@ class Node {
   /// Add g into the stored gradient (lazily shaped on first call).
   void accumulate_grad(const tensor::Tensor& g);
 
-  /// Forget the accumulated gradient but keep its storage (arena view or
-  /// owning buffer): the next accumulate_grad copies into the existing
-  /// buffer instead of allocating. Used by graph replay between steps;
-  /// bitwise-equivalent to starting from an uninitialized gradient.
-  void reset_grad_keep_storage() { grad_initialized_ = false; }
-
-  /// Point the gradient at caller-planned storage (an arena view). The next
-  /// accumulate_grad copies into it; the shape must match the value's.
-  void adopt_grad_storage(tensor::Tensor storage);
-
   /// True once backward() has swept from this node as its root. A second
   /// backward() on the same root would silently re-seed and re-fire every
   /// closure into already-populated gradients, so backward() throws instead.

@@ -12,13 +12,6 @@ class FinetuneMethod : public MethodBase {
       : MethodBase("Finetune", std::move(config)) {
     init_workers();
   }
-
- protected:
-  /// Plain per-batch cross-entropy: one static graph per batch size.
-  std::string replay_signature(const Replica&, const fed::TrainJob&,
-                               std::size_t) const override {
-    return "ce";
-  }
 };
 
 }  // namespace reffil::cl

@@ -86,59 +86,7 @@ void MethodBase::init_workers() {
   // grow with the slot count.
   workers_.resize(config_.parallelism);
   workers_.front() = build_replica();
-  graph_cache_.assign(workers_.size(), {});
   global_state_ = workers_.front()->snapshot();
-}
-
-std::string MethodBase::replay_signature(const Replica&, const fed::TrainJob&,
-                                         std::size_t) const {
-  return {};
-}
-
-bool MethodBase::train_step_replayed(Replica& rep,
-                                     const std::vector<TaggedSample>& batch,
-                                     const fed::TrainJob& job,
-                                     std::size_t slot) {
-  if (!config_.graph_replay) return false;
-  const std::string signature = replay_signature(rep, job, slot);
-  if (signature.empty()) return false;
-  const std::string key = signature + "|b=" + std::to_string(batch.size());
-  auto& cache = graph_cache_[slot];
-  const auto it = cache.find(key);
-  if (it == cache.end()) {
-    // First sighting of this step family: capture it. The capture runs the
-    // normal eager computation (instrumented), so its gradients are this
-    // batch's real training step whether or not the tape freezes.
-    std::vector<std::size_t> tags;
-    tags.reserve(batch.size());
-    for (const auto& s : batch) tags.push_back(s.task);
-    AG::graph::Capture capture;
-    AG::Var loss = batch_loss(rep, batch, job, slot);
-    AG::backward(loss);
-    auto graph = capture.finish(loss, replay_tags_matter(), std::move(tags));
-    if (cache.size() >= kMaxGraphsPerSlot) cache.clear();
-    cache.emplace(key, std::move(graph));  // null = negative cache
-    return true;
-  }
-  const auto& graph = it->second;
-  if (!graph) return false;  // known unreplayable: stay eager
-  std::vector<const T::Tensor*> images;
-  std::vector<std::size_t> labels;
-  std::vector<std::size_t> tags;
-  images.reserve(batch.size());
-  labels.reserve(batch.size());
-  tags.reserve(batch.size());
-  for (const auto& s : batch) {
-    images.push_back(&s.sample->image);
-    labels.push_back(s.sample->label);
-    tags.push_back(s.task);
-  }
-  if (!graph->bind(images, labels, tags)) {
-    obs::count("ag.graph.fallback");
-    return false;
-  }
-  graph->replay();
-  return true;
 }
 
 Replica& MethodBase::replica(std::size_t slot) {
@@ -281,10 +229,7 @@ fed::ClientUpdate MethodBase::train_client(
           view.begin() + static_cast<std::ptrdiff_t>(begin),
           view.begin() + static_cast<std::ptrdiff_t>(end));
       optimizer.zero_grad();
-      if (!train_step_replayed(rep, batch, job, job.worker_slot)) {
-        AG::Var loss = batch_loss(rep, batch, job, job.worker_slot);
-        AG::backward(loss);
-      }
+      AG::backward(batch_loss(rep, batch, job, job.worker_slot));
       post_backward(rep, job, job.worker_slot);
       optimizer.step();
     }

@@ -14,7 +14,6 @@
 #include <string>
 #include <vector>
 
-#include "reffil/autograd/graph.hpp"
 #include "reffil/fed/compress.hpp"
 #include "reffil/fed/fedavg.hpp"
 #include "reffil/fed/method.hpp"
@@ -33,10 +32,6 @@ struct MethodConfig {
   float clip_norm = 5.0f;  ///< global gradient clip (stability at few rounds)
   std::uint64_t seed = 7;
   std::size_t max_tasks = 8;     ///< upper bound on task count (key tables)
-  /// Capture each distinct train-step graph once and replay it via the arena
-  /// planner on later batches (methods opt in per step through
-  /// replay_signature). Replayed steps are bitwise-identical to eager.
-  bool graph_replay = false;
 };
 
 /// Everything trainable one worker owns. Subclass replicas add modules; all
@@ -130,27 +125,9 @@ class MethodBase : public fed::Method {
                                    const fed::TrainJob& job, std::size_t slot);
 
   /// Called after backward() and before the optimizer step (e.g. to add the
-  /// EWC penalty gradient). Runs eagerly even on replayed steps.
+  /// EWC penalty gradient).
   virtual void post_backward(Replica& replica, const fed::TrainJob& job,
                              std::size_t slot);
-
-  /// Graph-replay opt-in. A non-empty string names the captured-graph family
-  /// this (replica, job) pair trains: full-size batches whose signature
-  /// matches replay one frozen tape instead of rebuilding the autograd
-  /// graph. The signature must encode EVERYTHING the graph *structure* (or
-  /// any value baked into it as a constant) depends on other than batch size
-  /// and per-sample tags — task index, round-frozen broadcast state,
-  /// loss-term toggles. Methods with data-dependent structure (prompt
-  /// selection, teacher baking) return "" for the affected steps and stay
-  /// eager. Default: "" — never replay.
-  virtual std::string replay_signature(const Replica& replica,
-                                       const fed::TrainJob& job,
-                                       std::size_t slot) const;
-
-  /// True when the captured graph's structure depends on each sample's task
-  /// tag; bind() then refuses batches whose tag pattern differs from the
-  /// captured one (falling back to eager) instead of replaying a wrong graph.
-  virtual bool replay_tags_matter() const { return false; }
 
   /// Called once before the local epochs start / after they finish.
   virtual void on_client_begin(Replica&, const fed::TrainJob&, std::size_t) {}
@@ -184,24 +161,6 @@ class MethodBase : public fed::Method {
   fed::ModelState broadcast_reference_;
 
  private:
-  /// Train one batch through the captured-graph path. Returns true when this
-  /// batch's gradients are already accumulated — either a replay, or the
-  /// instrumented eager step a fresh capture runs (captures are real steps).
-  /// Returns false (having trained nothing) when the method opted out, the
-  /// batch does not bind, or a prior capture proved the step unreplayable —
-  /// the caller then runs the plain eager step.
-  bool train_step_replayed(Replica& replica,
-                           const std::vector<TaggedSample>& batch,
-                           const fed::TrainJob& job, std::size_t slot);
-
-  /// Per-worker captured graphs keyed "<signature>|b=<batch_size>". A null
-  /// entry is a negative cache: capture proved this step unreplayable, so
-  /// the step stays eager without re-capturing every batch.
-  std::vector<
-      std::map<std::string, std::shared_ptr<autograd::graph::CapturedGraph>>>
-      graph_cache_;
-  static constexpr std::size_t kMaxGraphsPerSlot = 8;
-
   /// A replica from the shared initialisation seed.
   std::unique_ptr<Replica> build_replica();
 

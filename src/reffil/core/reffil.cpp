@@ -49,7 +49,7 @@ AG::Var RefFiLReplica::local_prompt(const AG::Var& tokens, std::size_t task) con
   // query): the prompt path trains the CDAP parameters but does not add a
   // second gradient route into the feature extractor, which destabilizes
   // the backbone at few-round scale.
-  if (use_cdap_) return cdap->generate(AG::detach(tokens), task);
+  if (use_cdap_) return cdap->generate(AG::constant(tokens->value()), task);
   // Static ablation: the whole per-class table is attached (symmetric at
   // train and test time, since labels are unknown at inference).
   return class_table->table();
@@ -177,23 +177,6 @@ AG::Var RefFiLMethod::dpcl_loss(const AG::Var& generated,
   return AG::sub(AG::log(all_sum), AG::log(pos_sum));
 }
 
-std::string RefFiLMethod::replay_signature(const cl::Replica&,
-                                           const fed::TrainJob& job,
-                                           std::size_t slot) const {
-  const WorkerPrompts& prompts = worker_prompts_[slot];
-  const bool gpl_active = reffil_.use_gpl && prompts.has_prompts && job.task > 0;
-  // DPCL ranks the *current* cosine similarities to pick positives and skips
-  // classes without representatives — per-sample, value-dependent structure
-  // no frozen tape can express. Those steps stay eager.
-  if (reffil_.use_dpcl && gpl_active) return {};
-  // P-bar and the per-domain GPL contexts are baked into the tape as
-  // constants and refresh with every broadcast, so the signature pins the
-  // round as well as the task (task 0 additionally co-trains the prompt-free
-  // path, a different graph shape).
-  return "reffil|t=" + std::to_string(job.task) +
-         "|r=" + std::to_string(job.round) + (gpl_active ? "|gpl" : "");
-}
-
 AG::Var RefFiLMethod::batch_loss(cl::Replica& replica,
                                  const std::vector<cl::MethodBase::TaggedSample>& batch,
                                  const fed::TrainJob& job, std::size_t slot) {
@@ -231,7 +214,7 @@ AG::Var RefFiLMethod::batch_loss(cl::Replica& replica,
       // Stop-gradient on the tokens: GPL shapes the attention block and
       // classifier toward prompt-context robustness without dragging the
       // feature extractor away from the L_CE objective.
-      const AG::Var frozen_tokens = AG::detach(tokens);
+      const AG::Var frozen_tokens = AG::constant(tokens->value());
       AG::Var gpl = AG::cross_entropy_logits(
           rep.net.forward_tokens(frozen_tokens, AG::constant(prompts.pbar)).logits,
           {sample.label});

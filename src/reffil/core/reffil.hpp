@@ -119,11 +119,6 @@ class RefFiLMethod : public cl::MethodBase {
                            const fed::TrainJob& job, std::size_t slot) override;
   autograd::Var eval_logits(cl::Replica& replica, const tensor::Tensor& image,
                             std::size_t slot) override;
-  std::string replay_signature(const cl::Replica& replica,
-                               const fed::TrainJob& job,
-                               std::size_t slot) const override;
-  /// The CDAP task key and the GPL context skip are per-sample tag choices.
-  bool replay_tags_matter() const override { return true; }
 
  private:
   struct WorkerPrompts {

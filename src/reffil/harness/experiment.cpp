@@ -1,7 +1,6 @@
 #include "reffil/harness/experiment.hpp"
 
 #include <cstdlib>
-#include <cstring>
 
 #include "reffil/cl/dualprompt.hpp"
 #include "reffil/cl/ewc.hpp"
@@ -33,12 +32,22 @@ std::string method_display_name(MethodKind kind) {
   throw ConfigError("unknown method kind");
 }
 
+std::optional<Scale> parse_scale(std::string_view name) {
+  if (name == "smoke") return Scale::kSmoke;
+  if (name == "scaled") return Scale::kScaled;
+  if (name == "full") return Scale::kFull;
+  return std::nullopt;
+}
+
 Scale scale_from_env() {
   const char* env = std::getenv("REFFIL_BENCH_SCALE");
-  if (env == nullptr) return Scale::kScaled;
-  if (std::strcmp(env, "smoke") == 0) return Scale::kSmoke;
-  if (std::strcmp(env, "full") == 0) return Scale::kFull;
-  return Scale::kScaled;
+  if (env == nullptr || *env == '\0') return Scale::kScaled;
+  const auto scale = parse_scale(env);
+  if (!scale) {
+    throw ConfigError(std::string("unknown REFFIL_BENCH_SCALE '") + env +
+                      "' (expected smoke, scaled or full)");
+  }
+  return *scale;
 }
 
 std::string to_string(Scale scale) {
@@ -88,7 +97,6 @@ cl::MethodConfig base_method_config(const data::DatasetSpec& spec,
   method.parallelism = config.parallelism;
   method.seed = config.seed ^ 0xBEEFULL;
   method.max_tasks = spec.domains.size();
-  method.graph_replay = config.graph_replay;
   return method;
 }
 }  // namespace

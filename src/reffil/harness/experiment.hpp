@@ -3,7 +3,9 @@
 #pragma once
 
 #include <memory>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "reffil/core/reffil.hpp"
@@ -33,6 +35,10 @@ std::string method_display_name(MethodKind kind);
 /// higher-fidelity runs; REFFIL_BENCH_SCALE=smoke shrinks further for CI.
 enum class Scale { kSmoke, kScaled, kFull };
 
+/// "smoke" | "scaled" | "full" (the to_string names); nullopt otherwise.
+std::optional<Scale> parse_scale(std::string_view name);
+/// REFFIL_BENCH_SCALE, or kScaled when it is unset or empty. Throws
+/// ConfigError on any other value that parse_scale rejects.
 Scale scale_from_env();
 std::string to_string(Scale scale);
 
@@ -46,10 +52,6 @@ struct ExperimentConfig {
   /// depend on it, so it is not part of the result-cache key.
   std::size_t parallelism = 0;
   Scale scale = Scale::kScaled;
-  /// Capture-and-replay client training graphs through the arena planner
-  /// (see autograd/graph.hpp). Replayed steps are bitwise-identical to
-  /// eager, so this deliberately does NOT change the result-cache key.
-  bool graph_replay = false;
   /// RefFiL component switches (Table 5 ablations; ignored by baselines).
   core::RefFiLConfig reffil;
   /// Transport fault simulation (inert by default; see fed/transport.hpp).

@@ -2,7 +2,6 @@
 
 #include <cmath>
 
-#include "reffil/autograd/graph.hpp"
 #include "reffil/tensor/ops.hpp"
 #include "reffil/util/error.hpp"
 #include "reffil/util/prof.hpp"
@@ -125,9 +124,7 @@ AG::Var PromptNet::tokenize(const T::Tensor& image) const {
     throw ShapeError("PromptNet expects [" + std::to_string(config_.image_channels) +
                      ",16,16] image, got " + T::shape_to_string(image.shape()));
   }
-  // graph::input is autograd::constant outside capture; under capture the
-  // node becomes a rebindable per-sample image slot of the replayed graph.
-  const AG::Var feats = features_->forward(AG::graph::input(image));
+  const AG::Var feats = features_->forward(AG::constant(image));
   const AG::Var patches = patch_embed_->forward(feats);  // [n, d]
   return AG::concat_rows(cls_token_, patches);           // Eq. (12)
 }

@@ -17,8 +17,7 @@ namespace {
 /// global pool above the elementwise threshold. Blocks are disjoint, so the
 /// result is bitwise identical to the serial loop either way. Templated so
 /// the (overwhelmingly common) serial path never materializes a
-/// std::function — graph replay counts on the serial path being
-/// allocation-free.
+/// std::function and stays allocation-free.
 template <typename Fn>
 void elementwise_blocks(std::size_t n, const Fn& fn) {
   obs::prof::Span span("elementwise", n * sizeof(float));

@@ -48,9 +48,9 @@ Tensor map(const Tensor& a, const std::function<float(float)>& f);
 // Destination forms of the elementwise family. Each overwrites a
 // preallocated `out` of the input's shape and runs the exact loop of its
 // allocating twin (same blocking, same per-element order), so results are
-// bitwise identical — these exist so graph-replay closures and backward
-// scratch can reuse arena/pool storage instead of allocating. `out` may not
-// alias an input except where noted.
+// bitwise identical — these exist so autograd forward passes and backward
+// scratch can write into node or pool storage instead of allocating. `out`
+// may not alias an input except where noted.
 void add_into(const Tensor& a, const Tensor& b, Tensor& out);
 void sub_into(const Tensor& a, const Tensor& b, Tensor& out);
 void mul_into(const Tensor& a, const Tensor& b, Tensor& out);

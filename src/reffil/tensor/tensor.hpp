@@ -9,7 +9,7 @@
 // Storage comes in two modes:
 //   * owning — the default: elements live in a `std::vector<float>` member.
 //   * view   — `Tensor::view(ptr, shape)` borrows caller-managed storage
-//     (a pool buffer or a graph-replay arena). A view never allocates, never
+//     (a scratch-pool buffer). A view never allocates, never
 //     frees, and must not outlive the borrowed buffer. Copying a view (or a
 //     const& reshape of one) produces a deep owning copy, so views cannot
 //     leak borrowed pointers through value semantics; moving a view transfers
@@ -75,11 +75,11 @@ class Tensor {
   std::size_t numel() const { return view_ != nullptr ? view_numel_ : data_.size(); }
   std::size_t dim(std::size_t axis) const;
 
-  /// True when the storage is borrowed (arena / pool buffer).
+  /// True when the storage is borrowed (a pool buffer).
   bool is_view() const { return view_ != nullptr; }
 
   /// Owning storage accessors. Throw on views — a view's buffer belongs to
-  /// its arena/pool, so vector-level operations on it are always a bug; use
+  /// its pool, so vector-level operations on it are always a bug; use
   /// begin()/end() for element access instead.
   const std::vector<float>& data() const;
   std::vector<float>& data();

@@ -9,6 +9,7 @@
 #include "reffil/harness/cache.hpp"
 #include "reffil/harness/experiment.hpp"
 #include "reffil/harness/tables.hpp"
+#include "reffil/util/error.hpp"
 
 using namespace reffil;
 
@@ -39,6 +40,30 @@ TEST(Scale, ScaledIsIdentity) {
   const auto scaled = harness::apply_scale(base, harness::Scale::kScaled);
   EXPECT_EQ(scaled.rounds_per_task, base.rounds_per_task);
   EXPECT_EQ(scaled.domains[0].train_samples, base.domains[0].train_samples);
+}
+
+TEST(Scale, ParseAcceptsExactlyTheProfileNames) {
+  for (const auto scale : {harness::Scale::kSmoke, harness::Scale::kScaled,
+                           harness::Scale::kFull}) {
+    EXPECT_EQ(harness::parse_scale(harness::to_string(scale)), scale);
+  }
+  for (const char* bad : {"smok", "Smoke", "", "scaled ", "full2"}) {
+    EXPECT_EQ(harness::parse_scale(bad), std::nullopt) << "'" << bad << "'";
+  }
+}
+
+TEST(Scale, EnvRejectsUnknownNames) {
+  unsetenv("REFFIL_BENCH_SCALE");
+  EXPECT_EQ(harness::scale_from_env(), harness::Scale::kScaled);
+  setenv("REFFIL_BENCH_SCALE", "", 1);
+  EXPECT_EQ(harness::scale_from_env(), harness::Scale::kScaled);
+  setenv("REFFIL_BENCH_SCALE", "smoke", 1);
+  EXPECT_EQ(harness::scale_from_env(), harness::Scale::kSmoke);
+  setenv("REFFIL_BENCH_SCALE", "full", 1);
+  EXPECT_EQ(harness::scale_from_env(), harness::Scale::kFull);
+  setenv("REFFIL_BENCH_SCALE", "smok", 1);
+  EXPECT_THROW(harness::scale_from_env(), ConfigError);
+  unsetenv("REFFIL_BENCH_SCALE");
 }
 
 TEST(Seeds, DefaultFiveDistinct) {

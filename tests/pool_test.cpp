@@ -1,7 +1,8 @@
 // Tests for the thread-local scratch pool: borrow/return semantics, bucket
-// reuse guarantees, zero-fill behavior, move semantics, and a concurrent
+// reuse guarantees, zero-fill behavior, move semantics, a concurrent
 // stress run (exercised under TSan in the sanitize CI job) proving that
-// per-thread free lists never alias a buffer across simultaneous borrows.
+// per-thread free lists never alias a buffer across simultaneous borrows,
+// and a steady-state eager training loop that must never miss the pool.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -9,10 +10,16 @@
 #include <cstring>
 #include <vector>
 
+#include "reffil/autograd/ops.hpp"
+#include "reffil/nn/backbone.hpp"
+#include "reffil/tensor/ops.hpp"
 #include "reffil/tensor/pool.hpp"
 #include "reffil/tensor/tensor.hpp"
+#include "reffil/util/obs.hpp"
+#include "reffil/util/rng.hpp"
 #include "reffil/util/thread_pool.hpp"
 
+namespace AG = reffil::autograd;
 namespace T = reffil::tensor;
 namespace pool = reffil::tensor::pool;
 
@@ -149,4 +156,40 @@ TEST(ScratchPool, ConcurrentBorrowsNeverAlias) {
     pool::clear_thread_cache();  // leave worker threads with empty lists
   });
   EXPECT_EQ(failures.load(), 0);
+}
+
+// Every eager train step rebuilds its graph, so every op output, im2col
+// column and backward temporary is borrowed afresh. Once the free lists are
+// warm, a steady-state step must be served entirely from them: one miss per
+// step means a bucket-rounding bug sends some borrow to the allocator every
+// time (the bug this test was written to catch).
+TEST(ScratchPool, SteadyStateEagerStepsNeverMiss) {
+  reffil::nn::PromptNetConfig config;
+  config.num_classes = 4;
+  reffil::util::Rng rng(7), data_rng(3);
+  reffil::nn::PromptNet net(config, rng);
+  const std::vector<T::Tensor> images = {T::randn({1, 16, 16}, data_rng),
+                                         T::randn({1, 16, 16}, data_rng)};
+  const std::vector<std::size_t> labels = {1, 3};
+  const auto step = [&] {
+    for (auto& p : net.parameters()) p->zero_grad();
+    AG::Var total;
+    for (std::size_t i = 0; i < images.size(); ++i) {
+      const AG::Var ce =
+          AG::cross_entropy_logits(net.forward(images[i]).logits, {labels[i]});
+      total = (i == 0) ? ce : AG::add(total, ce);
+    }
+    AG::backward(
+        AG::mul_scalar(total, 1.0f / static_cast<float>(images.size())));
+  };
+  const auto misses = [] {
+    const auto snap = reffil::obs::Registry::instance().snapshot();
+    const auto it = snap.counters.find("tensor.pool.miss");
+    return it == snap.counters.end() ? std::uint64_t{0} : it->second;
+  };
+  for (int i = 0; i < 3; ++i) step();  // fault in every bucket the step uses
+  const std::uint64_t before = misses();
+  for (int i = 0; i < 100; ++i) step();
+  EXPECT_EQ(misses(), before)
+      << "steady-state eager steps must reuse pooled scratch";
 }

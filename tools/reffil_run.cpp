@@ -27,16 +27,11 @@
 //                     see fed/compress.hpp. E.g. quantized broadcast plus
 //                     top-10% sparsified q8 deltas:
 //                       --compress q8,topk=0.1
-//   --graph-replay    capture each distinct client training graph once and
-//                     replay it through the arena planner on later batches
-//                     (bitwise-identical results, zero steady-state
-//                     allocations; see autograd/graph.hpp). The --json
-//                     output gains a "graph" block with capture/replay
-//                     counts and arena_bytes.
 //   --profile PATH    write an op-level Chrome trace (chrome://tracing) here
 //   --serve-metrics P serve live /metrics, /healthz and /progress over HTTP
-//                     on 127.0.0.1:P while the run executes (0 = ephemeral
-//                     port, printed to stderr). Implies --monitor. The
+//                     on 127.0.0.1:P while the run executes (P is a decimal
+//                     port in 0..65535; 0 = ephemeral port, printed to
+//                     stderr). Implies --monitor. The
 //                     REFFIL_METRICS_PORT env var is the flag's equivalent;
 //                     REFFIL_METRICS_LINGER=SECONDS keeps the server up that
 //                     long after the run so a scraper can read the final
@@ -58,6 +53,7 @@
 #include <cstring>
 #include <exception>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 
@@ -79,7 +75,7 @@ int usage(const char* argv0) {
                "usage: %s --dataset NAME --method NAME [--order orig|new] "
                "[--seed N] [--scale smoke|scaled|full] [--dropout P] "
                "[--fault-profile SPEC] [--des SPEC] [--compress SPEC] "
-               "[--graph-replay] [--profile PATH] [--serve-metrics PORT] "
+               "[--profile PATH] [--serve-metrics PORT] "
                "[--monitor SPEC] [--json]\n"
                "       %s --list\n",
                argv0, argv0);
@@ -108,6 +104,12 @@ std::optional<std::uint64_t> parse_seed(const char* text) {
   const unsigned long long v = std::strtoull(text, &end, 10);
   if (*end != '\0' || errno == ERANGE) return std::nullopt;
   return v;
+}
+
+std::optional<std::uint16_t> parse_port(const char* text) {
+  const auto v = parse_seed(text);
+  if (!v || *v > 65535) return std::nullopt;
+  return static_cast<std::uint16_t>(*v);
 }
 
 std::optional<double> parse_probability(const char* text) {
@@ -205,28 +207,6 @@ void print_json(const fed::RunResult& result, std::size_t parallelism) {
   }
   std::printf("}");
 
-  // Graph-replay accounting (all zero for eager runs, so the block is
-  // always present). arena_bytes is the largest planned arena this process
-  // captured — deterministic for a fixed (method, dataset, scale, seed).
-  const auto counter_of = [&](const char* name) -> unsigned long long {
-    const auto it = snap.counters.find(name);
-    return it == snap.counters.end() ? 0ULL
-                                     : static_cast<unsigned long long>(
-                                           it->second);
-  };
-  const auto gauge_it = snap.gauges.find("ag.graph.arena_bytes");
-  const unsigned long long arena_bytes =
-      gauge_it == snap.gauges.end()
-          ? 0ULL
-          : static_cast<unsigned long long>(gauge_it->second);
-  std::printf(",\"graph\":{\"captures\":%llu,\"capture_rejects\":%llu,"
-              "\"replays\":%llu,\"fallbacks\":%llu,\"arena_bytes\":%llu,"
-              "\"pool_misses\":%llu}",
-              counter_of("ag.graph.capture"),
-              counter_of("ag.graph.capture_reject"),
-              counter_of("ag.graph.replay"), counter_of("ag.graph.fallback"),
-              arena_bytes, counter_of("tensor.pool.miss"));
-
   // Health block: detector firings with round coordinates. Present for every
   // run (monitored=false for plain ones) so consumers never branch on key
   // existence.
@@ -310,15 +290,11 @@ int main(int argc, char** argv) {
   std::uint64_t seed = 7;
   double dropout = 0.0;
   bool json = false;
-  bool graph_replay = false;
   bool monitor_armed = false;
-  bool serve_metrics = false;
-  long metrics_port = 0;
-  if (const char* env_port = std::getenv("REFFIL_METRICS_PORT")) {
-    serve_metrics = true;
-    monitor_armed = true;
-    metrics_port = std::strtol(env_port, nullptr, 10);
-  }
+  // The port text comes from REFFIL_METRICS_PORT or --serve-metrics (the
+  // flag wins) and is parsed once, after the flags.
+  const char* metrics_port_text = std::getenv("REFFIL_METRICS_PORT");
+  if (metrics_port_text != nullptr) monitor_armed = true;
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -391,16 +367,13 @@ int main(int argc, char** argv) {
     } else if (arg == "--serve-metrics") {
       const char* v = next();
       if (!v) return usage(argv[0]);
-      serve_metrics = true;
       monitor_armed = true;
-      metrics_port = std::strtol(v, nullptr, 10);
+      metrics_port_text = v;
     } else if (arg == "--monitor") {
       const char* v = next();
       if (!v) return usage(argv[0]);
       monitor_armed = true;
       monitor_spec = v;
-    } else if (arg == "--graph-replay") {
-      graph_replay = true;
     } else if (arg == "--json") {
       json = true;
     } else {
@@ -437,6 +410,23 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "unknown order '%s'\n", order.c_str());
     return 2;
   }
+  const auto parsed_scale = harness::parse_scale(scale);
+  if (!parsed_scale) {
+    std::fprintf(stderr, "unknown scale '%s' (smoke | scaled | full)\n",
+                 scale.c_str());
+    return 2;
+  }
+  std::optional<std::uint16_t> metrics_port;
+  if (metrics_port_text != nullptr) {
+    metrics_port = parse_port(metrics_port_text);
+    if (!metrics_port) {
+      std::fprintf(stderr,
+                   "bad --serve-metrics '%s': expected a decimal port in "
+                   "0..65535\n",
+                   metrics_port_text);
+      return 2;
+    }
+  }
   const auto kind = parse_method(method_name);
   if (!kind) {
     std::fprintf(stderr, "unknown method '%s' (see --list)\n",
@@ -446,10 +436,7 @@ int main(int argc, char** argv) {
 
   harness::ExperimentConfig config;
   config.seed = seed;
-  config.scale = scale == "smoke"   ? harness::Scale::kSmoke
-                 : scale == "full"  ? harness::Scale::kFull
-                                    : harness::Scale::kScaled;
-  config.graph_replay = graph_replay;
+  config.scale = *parsed_scale;
 
   if (!profile_path.empty()) {
     obs::prof::set_thread_name("main");
@@ -496,13 +483,9 @@ int main(int argc, char** argv) {
     monitor = std::make_shared<fed::RunMonitor>(monitor_config);
   }
   std::unique_ptr<obs::expo::MetricsServer> server;
-  if (serve_metrics) {
-    if (metrics_port < 0 || metrics_port > 65535) {
-      std::fprintf(stderr, "bad --serve-metrics port %ld\n", metrics_port);
-      return 2;
-    }
+  if (metrics_port) {
     obs::expo::MetricsServer::Options options;
-    options.port = static_cast<std::uint16_t>(metrics_port);
+    options.port = *metrics_port;
     server = std::make_unique<obs::expo::MetricsServer>(
         options,
         [monitor] {
