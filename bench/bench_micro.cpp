@@ -179,7 +179,7 @@ BENCHMARK(BM_TrainStep)->Arg(4)->Arg(8);
 // forces every borrow down the allocator path; both variants pay that
 // identically, so the inter-bench delta isolates what the unconditional
 // zero-fill used to cost callers that overwrite every element anyway
-// (im2col columns, matmul outputs).
+// (conv2d's padded input copy, matmul outputs).
 static void BM_PoolMissNoZero(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   for (auto _ : state) {

@@ -8,7 +8,7 @@
 //
 // Forward passes allocate the node's value, build the node, then write the
 // value in place with the *_into kernels. Forward intermediates that backward
-// also needs (softmax probabilities, im2col columns, layer-norm statistics)
+// also needs (softmax probabilities, layer-norm statistics)
 // live in aux buffers shared with the backward closure. Closures that read
 // the node's own value capture it as a raw Node*: capturing the Var would be
 // an ownership cycle.
@@ -20,6 +20,7 @@
 
 #include "reffil/tensor/kernels_dispatch.hpp"
 #include "reffil/tensor/ops.hpp"
+#include "reffil/tensor/parallel.hpp"
 #include "reffil/tensor/pool.hpp"
 #include "reffil/util/error.hpp"
 #include "reffil/util/prof.hpp"
@@ -111,8 +112,13 @@ Var relu(const Var& a) {
         const float* x = a->value().begin();
         const float* pg = g.begin();
         float* d = dx->begin();
-        for (std::size_t i = 0; i < g.numel(); ++i) {
-          d[i] = x[i] <= 0.0f ? 0.0f : pg[i];
+        // A fixed trip count and an unconditional load of pg[i] let the
+        // mask compile to a vector select; a load only on the taken side
+        // kept it a mispredicted branch per element (~10x slower).
+        const std::size_t n = g.numel();
+        for (std::size_t i = 0; i < n; ++i) {
+          const float gi = pg[i];
+          d[i] = x[i] <= 0.0f ? 0.0f : gi;
         }
         a->accumulate_grad(*dx);
       },
@@ -791,80 +797,81 @@ Var cosine_similarity(const Var& a, const Var& b) {
 
 namespace {
 
-// Geometry shared with the dispatch-table conv lowering kernels.
-using ConvGeometry = T::kern::Conv2dGeom;
-
-ConvGeometry conv_geometry(const T::Tensor& input, std::size_t kh, std::size_t kw,
-                           std::size_t stride, std::size_t pad) {
+T::kern::Conv2dGeom conv_geometry(const T::Tensor& input, std::size_t cout,
+                                  std::size_t kh, std::size_t kw,
+                                  std::size_t stride, std::size_t pad) {
   if (input.rank() != 3) {
     throw ShapeError("conv2d input must be [Cin,H,W], got " +
                      T::shape_to_string(input.shape()));
   }
   REFFIL_CHECK_MSG(stride > 0, "conv2d: stride must be > 0");
-  ConvGeometry geom{};
-  geom.cin = input.dim(0);
-  geom.h = input.dim(1);
-  geom.w = input.dim(2);
-  geom.kh = kh;
-  geom.kw = kw;
-  geom.stride = stride;
-  geom.pad = pad;
-  REFFIL_CHECK_MSG(geom.h + 2 * pad >= kh && geom.w + 2 * pad >= kw,
+  const std::size_t h = input.dim(1), w = input.dim(2);
+  REFFIL_CHECK_MSG(h + 2 * pad >= kh && w + 2 * pad >= kw,
                    "conv2d: kernel larger than padded input");
-  geom.hout = (geom.h + 2 * pad - kh) / stride + 1;
-  geom.wout = (geom.w + 2 * pad - kw) / stride + 1;
-  return geom;
+  return T::kern::conv2d_geom(input.dim(0), h, w, cout, kh, kw, stride, pad);
 }
 
-// Unfold input into the [Cin*kh*kw, Hout*Wout] column matrix `col` (every
-// element is written, padding as 0, so `col` need not be zeroed on entry).
-// The lowering itself lives in the dispatch table (kernels_dispatch.hpp);
-// it is pure data movement, bitwise-identical on every ISA target.
-void im2col_into(const T::Tensor& input, const ConvGeometry& g, T::Tensor& col) {
-  prof::Span span("im2col", (input.numel() + col.numel()) * sizeof(float));
-  T::kern::active().im2col(input.begin(), col.begin(), g);
+/// Runs fn(lo, hi) over [0, rows), fanning out on the pool once the conv has
+/// as many multiply-adds as a matmul the parallel layer would split. The
+/// kernels' results do not depend on the split.
+template <typename Fn>
+void conv_fan_out(std::size_t rows, const T::kern::Conv2dGeom& g,
+                  const Fn& fn) {
+  const std::size_t macs = g.cout * g.taps() * g.hw();
+  if (!T::parallel::should_parallelize(macs, T::parallel::kMatmulFlopThreshold)) {
+    fn(std::size_t{0}, rows);
+    return;
+  }
+  const std::size_t row_cost = std::max<std::size_t>(1, macs / rows);
+  T::parallel::for_range(
+      rows, std::max<std::size_t>(1, T::parallel::kMatmulFlopThreshold / 4 / row_cost),
+      fn);
 }
 
-// Scatter a column-matrix gradient back to input layout (adjoint of im2col).
-// `dinput` must be zero-filled: padding-clipped taps contribute nothing.
-void col2im_into(const T::Tensor& dcol, const ConvGeometry& g,
-                 T::Tensor& dinput) {
-  prof::Span span("col2im", (dcol.numel() + dinput.numel()) * sizeof(float));
-  T::kern::active().col2im(dcol.begin(), dinput.begin(), g);
+/// Borrow the padded copy of `input` the conv kernels read taps from.
+T::pool::Scratch padded_input(const T::Tensor& input,
+                              const T::kern::Conv2dGeom& g) {
+  T::pool::Scratch xp({g.padded}, /*zero=*/false);
+  T::kern::conv2d_pad_input(input.begin(), xp->begin(), g);
+  return xp;
 }
 
 }  // namespace
 
 Var conv2d(const Var& input, const Var& weight, const Var& bias, std::size_t kh,
            std::size_t kw, std::size_t stride, std::size_t pad) {
-  const ConvGeometry geom = conv_geometry(input->value(), kh, kw, stride, pad);
-  if (weight->value().rank() != 2 ||
-      weight->value().dim(1) != geom.cin * kh * kw) {
+  if (weight->value().rank() != 2) {
     throw ShapeError("conv2d weight must be [Cout, Cin*kh*kw]");
   }
   const std::size_t cout = weight->value().dim(0);
+  const T::kern::Conv2dGeom geom =
+      conv_geometry(input->value(), cout, kh, kw, stride, pad);
+  if (weight->value().dim(1) != geom.taps()) {
+    throw ShapeError("conv2d weight must be [Cout, Cin*kh*kw]");
+  }
   if (bias->value().rank() != 1 || bias->value().dim(0) != cout) {
     throw ShapeError("conv2d bias must be [Cout]");
   }
-  const std::size_t hw = geom.hout * geom.wout;
+  const std::size_t hw = geom.hw();
+  const std::uint64_t weight_bytes = weight->value().numel() * sizeof(float);
+  const std::uint64_t out_bytes = cout * hw * sizeof(float);
+  const std::uint64_t padded_bytes = geom.padded * sizeof(float);
 
   prof::OpSpan ps("ag.conv2d");
-  // The column matrix is the one forward intermediate backward needs, so it
-  // is pool-borrowed with shared ownership: the buffer returns to a free
-  // list when the graph node dies instead of round-tripping the allocator
-  // every forward pass.
-  auto col = std::make_shared<T::pool::Scratch>(
-      T::Shape{geom.cin * kh * kw, hw}, /*zero=*/false);
+  // No forward intermediate is kept: backward rebuilds the padded copy of
+  // the input (a few KiB) instead of holding a [Cin*kh*kw, Hout*Wout]
+  // column matrix for the life of the tape.
   Var out = make_node(
       T::Tensor({cout, geom.hout, geom.wout}), {input, weight, bias},
-      [input, weight, bias, col, geom, cout, hw](const T::Tensor& g) {
-        // g arrives as [Cout, Hout, Wout]; its storage is already the row-
-        // major [Cout, Hout*Wout] matrix, so reinterpret via pooled scratch.
-        T::pool::Scratch g2d({cout, hw}, /*zero=*/false);
-        std::copy(g.begin(), g.end(), g2d->begin());
+      [input, weight, bias, geom, hw, weight_bytes, out_bytes,
+       padded_bytes](const T::Tensor& g) {
+        // g is [Cout, Hout, Wout]; its storage is the row-major [Cout,
+        // Hout*Wout] matrix the kernels read.
+        const std::size_t cout = geom.cout;
+        const float* pg = g.begin();
+        const T::kern::Kernels& kt = T::kern::active();
         if (bias->requires_grad()) {
           T::pool::Scratch db({cout}, /*zero=*/false);
-          const float* pg = g2d->begin();
           float* d = db->begin();
           for (std::size_t c = 0; c < cout; ++c) {
             double acc = 0.0;
@@ -874,34 +881,38 @@ Var conv2d(const Var& input, const Var& weight, const Var& bias, std::size_t kh,
           bias->accumulate_grad(*db);
         }
         if (weight->requires_grad()) {
-          // dW = g2d · colᵀ, fused — the old path materialized colᵀ (the
-          // largest temporary of the whole backward sweep) every step.
+          prof::Span span("conv2d_dw", padded_bytes + out_bytes + weight_bytes);
+          T::pool::Scratch xp = padded_input(input->value(), geom);
           T::pool::Scratch dw(weight->value().shape(), /*zero=*/false);
-          T::matmul_nt_into(*g2d, **col, *dw);
+          conv_fan_out(cout, geom, [&](std::size_t lo, std::size_t hi) {
+            kt.conv2d_dw_rows(pg, xp->begin(), dw->begin(), lo, hi, geom);
+          });
           weight->accumulate_grad(*dw);
         }
         if (input->requires_grad()) {
-          // dcol = Wᵀ · g2d, fused likewise.
-          T::pool::Scratch dcol(col->tensor().shape(), /*zero=*/false);
-          T::matmul_tn_into(weight->value(), *g2d, *dcol);
-          T::pool::Scratch dinput(input->value().shape());  // zeroed for col2im
-          col2im_into(*dcol, geom, *dinput);
+          T::pool::Scratch dinput(input->value().shape(), /*zero=*/false);
+          prof::Span span("conv2d_dx", weight_bytes + out_bytes +
+                                           dinput->numel() * sizeof(float));
+          conv_fan_out(geom.cin, geom, [&](std::size_t lo, std::size_t hi) {
+            kt.conv2d_dx_channels(weight->value().begin(), pg, dinput->begin(),
+                                  lo, hi, geom);
+          });
           input->accumulate_grad(*dinput);
         }
       },
       ps.name(), ps.corr());
-  im2col_into(input->value(), geom, **col);
-  // The [Cout, Hout*Wout] matmul lands directly in the node's [Cout, Hout,
-  // Wout] storage via a rank-2 view — same bytes, no reshape copy.
-  T::Tensor out2d =
-      T::Tensor::view(out->mutable_value().begin(), {cout, hw});
-  T::matmul_into(weight->value(), **col, out2d);
+  prof::Span span("conv2d_fwd", padded_bytes + weight_bytes + out_bytes);
+  T::pool::Scratch xp = padded_input(input->value(), geom);
+  const T::kern::Kernels& kt = T::kern::active();
   const float* pbias = bias->value().begin();
-  float* po = out2d.begin();
-  for (std::size_t c = 0; c < cout; ++c) {
-    const float b = pbias[c];
-    for (std::size_t p = 0; p < hw; ++p) po[c * hw + p] += b;
-  }
+  float* po = out->mutable_value().begin();
+  conv_fan_out(cout, geom, [&](std::size_t lo, std::size_t hi) {
+    kt.conv2d_rows(xp->begin(), weight->value().begin(), po, lo, hi, geom);
+    for (std::size_t c = lo; c < hi; ++c) {
+      const float b = pbias[c];
+      for (std::size_t p = 0; p < hw; ++p) po[c * hw + p] += b;
+    }
+  });
   return out;
 }
 

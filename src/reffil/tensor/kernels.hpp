@@ -195,20 +195,26 @@ inline void log_softmax_rows(const float* src, float* dst, std::size_t r0,
   }
 }
 
-// ---- conv2d lowering -------------------------------------------------------
-// Pure data movement — bitwise identical on every target, so every dispatch
-// table points here. The stride==1 interior of each output row is one
-// contiguous input segment, copied (im2col) or accumulated (col2im) without
-// the per-tap bounds test the border pixels need; at stride 1 that turns
-// the dominant inner loop into memcpy / a trivially vectorizable += sweep.
-//
-// Defined out-of-line (kernels_scalar.cpp): every dispatch table takes these
-// functions' addresses, and an inline definition would be ODR-used from TUs
-// built with different ISA flags — one arbitrary copy would win at link
-// time. A single out-of-line definition under baseline flags keeps the
-// "bitwise identical on every target" claim true by construction.
+// ---- conv data movement ----------------------------------------------------
+// Pure index arithmetic and data movement, shared by every target. Defined
+// out-of-line (kernels_scalar.cpp): every dispatch table reaches these, and
+// an inline definition would be ODR-used from TUs built with different ISA
+// flags — one arbitrary copy would win at link time, possibly an AVX2 one
+// the scalar target then runs on a baseline CPU. A single out-of-line
+// definition under baseline flags keeps every target safe and bitwise equal
+// by construction.
 
-void im2col(const float* in, float* col, const kern::Conv2dGeom& g);
-void col2im(const float* dcol, float* din, const kern::Conv2dGeom& g);
+/// off[t] = g.tap_offset(ci, ki, kj) for column-matrix row t = (ci, ki, kj).
+void conv_tap_offsets(const kern::Conv2dGeom& g, std::size_t* off);
+
+/// pix[p] = oi * g.wq + oj for output pixel p = oi * wout + oj, so that
+/// column-matrix element (t, p) is xp[off[t] + pix[p]].
+void conv_pixel_offsets(const kern::Conv2dGeom& g, std::size_t* pix);
+
+/// din_c[h, w] += the col2im scatter of one input channel's kh*kw rows
+/// tile[kh*kw, hout*wout], in (ki, kj, oi, oj) order; taps that fall into
+/// the padding are dropped.
+void conv_scatter_channel(const float* tile, float* din_c,
+                          const kern::Conv2dGeom& g);
 
 }  // namespace reffil::tensor::detail

@@ -1,8 +1,8 @@
 // Runtime CPU-feature-dispatched kernel table (DESIGN.md §12).
 //
 // Every hot inner loop of the tensor layer — the matmul row kernels, the
-// blocked elementwise/axpy sweeps, the row-range softmax pair, and the conv
-// lowering (im2col/col2im) — is reached through one table of function
+// blocked elementwise/axpy sweeps, the row-range softmax pair, and the three
+// direct conv2d kernels — is reached through one table of function
 // pointers resolved exactly once at startup. The binary carries every
 // target the toolchain could compile (scalar always; AVX2 on x86-64; NEON
 // on aarch64) and picks the best one the *running* CPU supports, so a
@@ -18,12 +18,16 @@
 //    never changed a finite result — see kernels.hpp).
 //  * Across targets, matmul and softmax may differ by rounding (FMA
 //    contraction, polynomial exp); the cross-ISA test suite bounds the
-//    divergence at 1e-5 relative. Elementwise kernels and im2col/col2im
-//    are bitwise-identical across every target (no fused ops, pure data
-//    movement). The q8 codec kernels are bitwise-identical across targets
-//    on finite inputs too (exact max reduction, shared round-nearest-even,
-//    unfused accumulate — see quant.hpp), which the compressed wire format
-//    relies on for cross-ISA reproducibility.
+//    divergence at 1e-5 relative. The conv2d kernels follow the matmul
+//    rule: within a target each is bitwise equal to lowering the input to
+//    a [cin*kh*kw, hout*wout] column matrix and running that target's
+//    matmul (the naive oracle of the kernel tests), without ever building
+//    the column matrix. Elementwise kernels are bitwise-identical across
+//    every target (no fused ops). The q8 codec kernels are
+//    bitwise-identical across targets on finite inputs too (exact max
+//    reduction, shared round-nearest-even, unfused accumulate — see
+//    quant.hpp), which the compressed wire format relies on for cross-ISA
+//    reproducibility.
 //
 // Selection order: the REFFIL_ISA environment variable ("scalar", "avx2",
 // "neon") wins if set — an unknown name throws, a compiled-but-unsupported
@@ -39,11 +43,49 @@
 
 namespace reffil::tensor::kern {
 
-/// Conv2d lowering geometry shared by im2col/col2im and the autograd conv
-/// node that drives them.
+/// Conv2d geometry shared by the conv kernels and the autograd conv node.
+/// Build it with conv2d_geom(); the kernels read every field.
+///
+/// The kernels read taps from a zero-padded copy of the input
+/// (conv2d_pad_input) split into stride phases: padded pixel (ci, r, c)
+/// lives in plane ((ci*stride + r%stride)*stride + c%stride), at row
+/// r/stride and column c/stride of that hq x wq plane. Then the taps of one
+/// kernel position (ci, ki, kj) for output (oi, oj) sit at
+/// tap_offset(ci, ki, kj) + oi*wq + oj for every stride, so a run of
+/// output columns is a run of contiguous floats. Output (oi, oj) maps to
+/// "virtual position" oi*wq + oj; the wq - wout columns past wout in each
+/// row and everything past hout*wq up to `span` are computed and dropped.
+/// The copy ends in `span` zero floats so those reads stay in bounds.
 struct Conv2dGeom {
-  std::size_t cin, h, w, kh, kw, stride, pad, hout, wout;
+  std::size_t cin, h, w, cout, kh, kw, stride, pad;
+  std::size_t hout, wout;
+  std::size_t hq, wq;    ///< rows / columns of one phase plane
+  std::size_t span;      ///< hout*wq rounded up to kConvSpanAlign
+  std::size_t padded;    ///< floats in the padded copy, trailing zeros included
+
+  std::size_t taps() const { return cin * kh * kw; }
+  std::size_t hw() const { return hout * wout; }
+  std::size_t tap_offset(std::size_t ci, std::size_t ki, std::size_t kj) const {
+    return ((ci * stride + ki % stride) * stride + kj % stride) * hq * wq +
+           (ki / stride) * wq + kj / stride;
+  }
 };
+
+/// Virtual output positions are computed in whole blocks of this many
+/// floats (two vectors of the widest target).
+inline constexpr std::size_t kConvSpanAlign = 16;
+
+/// Geometry of a conv over input[cin, h, w] with cout output channels, a
+/// kh x kw kernel, `stride` (> 0) and zero padding `pad` on every side.
+/// The padded input must cover the kernel (h + 2*pad >= kh, likewise w).
+Conv2dGeom conv2d_geom(std::size_t cin, std::size_t h, std::size_t w,
+                       std::size_t cout, std::size_t kh, std::size_t kw,
+                       std::size_t stride, std::size_t pad);
+
+/// Write the padded, phase-split copy of input[cin, h, w] into
+/// xp[g.padded]; every element is written. Pure data movement, shared by
+/// every target.
+void conv2d_pad_input(const float* in, float* xp, const Conv2dGeom& g);
 
 /// One dispatch target. All pointers are non-null in every registered
 /// table. Row-range kernels take [r0, r1) so the parallel layer can hand
@@ -89,12 +131,31 @@ struct Kernels {
   void (*log_softmax_rows)(const float* src, float* dst, std::size_t r0,
                            std::size_t r1, std::size_t n);
 
-  /// Unfold input[cin, h, w] into col[cin*kh*kw, hout*wout] (every element
-  /// written; padding as 0). Pure data movement, bitwise-identical across
-  /// targets.
-  void (*im2col)(const float* in, float* col, const Conv2dGeom& g);
-  /// Adjoint scatter of im2col; `din` must be zero-filled on entry.
-  void (*col2im)(const float* dcol, float* din, const Conv2dGeom& g);
+  // Direct conv2d. `xp` is the conv2d_pad_input copy of the input, `w` the
+  // [cout, cin*kh*kw] weight, `gy` the [cout, hout*wout] output gradient.
+  // Each product element is one accumulation chain streaming k upward from
+  // 0, where k runs over the column-matrix rows (ci, ki, kj) for forward,
+  // over output pixels for dW (padding taps included, as madds against 0)
+  // and over output channels for dX's Wᵀ * gy, whose rows are then
+  // scatter-added in col2im's (ki, kj, oi, oj) order. So results match the
+  // im2col + matmul (+ col2im) lowering of this target bitwise and do not
+  // depend on the range split.
+
+  /// Rows [co0, co1) of out[cout, hout*wout] = W * x (no bias); every
+  /// element of those rows is written.
+  void (*conv2d_rows)(const float* xp, const float* w, float* out,
+                      std::size_t co0, std::size_t co1, const Conv2dGeom& g);
+  /// Rows [co0, co1) of dw[cout, cin*kh*kw] = gy * colᵀ; every element of
+  /// those rows is written.
+  void (*conv2d_dw_rows)(const float* gy, const float* xp, float* dw,
+                         std::size_t co0, std::size_t co1,
+                         const Conv2dGeom& g);
+  /// Channels [c0, c1) of din[cin, h, w] = col2im(Wᵀ * gy): every element
+  /// of those channels is written; taps that fall into the padding are
+  /// dropped.
+  void (*conv2d_dx_channels)(const float* w, const float* gy, float* din,
+                             std::size_t c0, std::size_t c1,
+                             const Conv2dGeom& g);
 
   // Q8 block codec (quant.hpp): int8 blocks of quant::kQ8Block with one f32
   // scale each. Bitwise-identical across targets on finite inputs.

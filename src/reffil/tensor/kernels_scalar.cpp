@@ -8,9 +8,68 @@
 #include "reffil/tensor/kernels_dispatch.hpp"
 #include "reffil/tensor/quant.hpp"
 
+#include <algorithm>
+#include <cstring>
+#include <utility>
+#include <vector>
+
 namespace reffil::tensor::kern {
 
 namespace {
+
+void conv2d_rows(const float* xp, const float* w, float* out, std::size_t co0,
+                 std::size_t co1, const Conv2dGeom& g) {
+  const std::size_t taps = g.taps(), hw = g.hw();
+  thread_local std::vector<std::size_t> off;
+  off.resize(taps);
+  detail::conv_tap_offsets(g, off.data());
+  for (std::size_t co = co0; co < co1; ++co) {
+    float* orow = out + co * hw;
+    std::fill(orow, orow + hw, 0.0f);
+    for (std::size_t t = 0; t < taps; ++t) {
+      const float wt = w[co * taps + t];
+      const float* src = xp + off[t];
+      for (std::size_t oi = 0; oi < g.hout; ++oi) {
+        float* o = orow + oi * g.wout;
+        const float* x = src + oi * g.wq;
+        for (std::size_t oj = 0; oj < g.wout; ++oj) o[oj] += wt * x[oj];
+      }
+    }
+  }
+}
+
+void conv2d_dw_rows(const float* gy, const float* xp, float* dw,
+                    std::size_t co0, std::size_t co1, const Conv2dGeom& g) {
+  const std::size_t taps = g.taps(), hw = g.hw();
+  thread_local std::vector<std::size_t> off, pix;
+  off.resize(taps);
+  detail::conv_tap_offsets(g, off.data());
+  pix.resize(hw);
+  detail::conv_pixel_offsets(g, pix.data());
+  for (std::size_t co = co0; co < co1; ++co) {
+    float* drow = dw + co * taps;
+    std::fill(drow, drow + taps, 0.0f);
+    for (std::size_t p = 0; p < hw; ++p) {
+      const float gp = gy[co * hw + p];
+      const float* src = xp + pix[p];
+      for (std::size_t t = 0; t < taps; ++t) drow[t] += gp * src[off[t]];
+    }
+  }
+}
+
+void conv2d_dx_channels(const float* w, const float* gy, float* din,
+                        std::size_t c0, std::size_t c1, const Conv2dGeom& g) {
+  const std::size_t kk = g.kh * g.kw, hw = g.hw();
+  thread_local std::vector<float> tile;
+  for (std::size_t c = c0; c < c1; ++c) {
+    tile.assign(kk * hw, 0.0f);
+    detail::matmul_rows_tn(w + c * kk, gy, tile.data(), 0, kk, g.cout,
+                           g.taps(), hw);
+    float* din_c = din + c * g.h * g.w;
+    std::fill(din_c, din_c + g.h * g.w, 0.0f);
+    detail::conv_scatter_channel(tile.data(), din_c, g);
+  }
+}
 
 constexpr Kernels kScalarTable = {
     "scalar",
@@ -22,8 +81,9 @@ constexpr Kernels kScalarTable = {
     &detail::scale_span,
     &detail::softmax_rows,
     &detail::log_softmax_rows,
-    &detail::im2col,
-    &detail::col2im,
+    &conv2d_rows,
+    &conv2d_dw_rows,
+    &conv2d_dx_channels,
     &detail::q8_encode,
     &detail::q8_decode,
     &detail::q8_axpy,
@@ -33,95 +93,113 @@ constexpr Kernels kScalarTable = {
 
 const Kernels* scalar_table() { return &kScalarTable; }
 
-}  // namespace reffil::tensor::kern
+Conv2dGeom conv2d_geom(std::size_t cin, std::size_t h, std::size_t w,
+                       std::size_t cout, std::size_t kh, std::size_t kw,
+                       std::size_t stride, std::size_t pad) {
+  Conv2dGeom g{};
+  g.cin = cin;
+  g.h = h;
+  g.w = w;
+  g.cout = cout;
+  g.kh = kh;
+  g.kw = kw;
+  g.stride = stride;
+  g.pad = pad;
+  g.hout = (h + 2 * pad - kh) / stride + 1;
+  g.wout = (w + 2 * pad - kw) / stride + 1;
+  // Only padded rows (hout - 1) * stride + kh and columns likewise are ever
+  // read; each phase plane holds its share of them.
+  g.hq = g.hout - 1 + (kh + stride - 1) / stride;
+  g.wq = g.wout - 1 + (kw + stride - 1) / stride;
+  g.span = (g.hout * g.wq + kConvSpanAlign - 1) / kConvSpanAlign *
+           kConvSpanAlign;
+  g.padded = cin * stride * stride * g.hq * g.wq + g.span;
+  return g;
+}
 
-// Conv2d lowering — the single shared definition every dispatch table points
-// at (see the declaration comment in kernels.hpp for why it must live
+// Conv data movement — the single shared definitions every dispatch table
+// reaches (see the declaration comment in kernels.hpp for why they must live
 // out-of-line in exactly one baseline-flags TU).
-namespace reffil::tensor::detail {
 
-void im2col(const float* in, float* col, const kern::Conv2dGeom& g) {
-  const std::size_t hw = g.hout * g.wout;
+void conv2d_pad_input(const float* in, float* xp, const Conv2dGeom& g) {
+  const std::size_t s = g.stride, plane = g.hq * g.wq;
+  std::fill(xp, xp + g.padded, 0.0f);
   for (std::size_t c = 0; c < g.cin; ++c) {
-    for (std::size_t ki = 0; ki < g.kh; ++ki) {
-      for (std::size_t kj = 0; kj < g.kw; ++kj) {
-        const std::size_t row = (c * g.kh + ki) * g.kw + kj;
-        float* dst = col + row * hw;
-        for (std::size_t oi = 0; oi < g.hout; ++oi) {
-          const std::ptrdiff_t ii =
-              static_cast<std::ptrdiff_t>(oi * g.stride + ki) -
-              static_cast<std::ptrdiff_t>(g.pad);
-          float* drow = dst + oi * g.wout;
-          if (ii < 0 || ii >= static_cast<std::ptrdiff_t>(g.h)) {
-            std::fill(drow, drow + g.wout, 0.0f);
-            continue;
-          }
-          const float* irow =
-              in + (c * g.h + static_cast<std::size_t>(ii)) * g.w;
-          if (g.stride == 1) {
-            // jj = oj + kj - pad stays in [0, w) for oj in [lo, hi).
-            const std::ptrdiff_t off = static_cast<std::ptrdiff_t>(kj) -
-                                       static_cast<std::ptrdiff_t>(g.pad);
-            const std::size_t lo = std::min(
-                g.wout, static_cast<std::size_t>(std::max<std::ptrdiff_t>(0, -off)));
-            const std::size_t hi = static_cast<std::size_t>(std::clamp<std::ptrdiff_t>(
-                static_cast<std::ptrdiff_t>(g.w) - off, 0,
-                static_cast<std::ptrdiff_t>(g.wout)));
-            std::fill(drow, drow + lo, 0.0f);
-            if (hi > lo) {
-              std::memcpy(drow + lo, irow + static_cast<std::size_t>(off + static_cast<std::ptrdiff_t>(lo)),
-                          (hi - lo) * sizeof(float));
-            }
-            std::fill(drow + std::max(hi, lo), drow + g.wout, 0.0f);
-          } else {
-            for (std::size_t oj = 0; oj < g.wout; ++oj) {
-              const std::ptrdiff_t jj =
-                  static_cast<std::ptrdiff_t>(oj * g.stride + kj) -
-                  static_cast<std::ptrdiff_t>(g.pad);
-              drow[oj] = (jj >= 0 && jj < static_cast<std::ptrdiff_t>(g.w))
-                             ? irow[static_cast<std::size_t>(jj)]
-                             : 0.0f;
-            }
-          }
+    for (std::size_t i = 0; i < g.h; ++i) {
+      const std::size_t r = i + g.pad;
+      if (r / s >= g.hq) break;  // rows no tap reads
+      const float* irow = in + (c * g.h + i) * g.w;
+      float* prow = xp + (c * s + r % s) * s * plane + (r / s) * g.wq;
+      if (s == 1) {
+        std::memcpy(prow + g.pad, irow,
+                    std::min(g.w, g.wq - g.pad) * sizeof(float));
+        continue;
+      }
+      // Column phase ph holds padded columns cq * s + ph.
+      for (std::size_t ph = 0; ph < s; ++ph) {
+        float* dst = prow + ph * plane;
+        std::size_t cq = ph >= g.pad ? 0 : (g.pad - ph + s - 1) / s;
+        for (std::size_t j = cq * s + ph - g.pad; cq < g.wq && j < g.w;
+             ++cq, j += s) {
+          dst[cq] = irow[j];
         }
       }
     }
   }
 }
 
-void col2im(const float* dcol, float* din, const kern::Conv2dGeom& g) {
-  const std::size_t hw = g.hout * g.wout;
+}  // namespace reffil::tensor::kern
+
+namespace reffil::tensor::detail {
+
+void conv_tap_offsets(const kern::Conv2dGeom& g, std::size_t* off) {
   for (std::size_t c = 0; c < g.cin; ++c) {
     for (std::size_t ki = 0; ki < g.kh; ++ki) {
       for (std::size_t kj = 0; kj < g.kw; ++kj) {
-        const std::size_t row = (c * g.kh + ki) * g.kw + kj;
-        const float* src = dcol + row * hw;
-        for (std::size_t oi = 0; oi < g.hout; ++oi) {
-          const std::ptrdiff_t ii =
-              static_cast<std::ptrdiff_t>(oi * g.stride + ki) -
-              static_cast<std::ptrdiff_t>(g.pad);
-          if (ii < 0 || ii >= static_cast<std::ptrdiff_t>(g.h)) continue;
-          const float* srow = src + oi * g.wout;
-          float* irow = din + (c * g.h + static_cast<std::size_t>(ii)) * g.w;
-          if (g.stride == 1) {
-            const std::ptrdiff_t off = static_cast<std::ptrdiff_t>(kj) -
-                                       static_cast<std::ptrdiff_t>(g.pad);
-            const std::size_t lo = static_cast<std::size_t>(std::max<std::ptrdiff_t>(0, -off));
-            const std::size_t hi = static_cast<std::size_t>(std::clamp<std::ptrdiff_t>(
-                static_cast<std::ptrdiff_t>(g.w) - off, 0,
-                static_cast<std::ptrdiff_t>(g.wout)));
-            for (std::size_t oj = lo; oj < hi; ++oj) {
-              irow[static_cast<std::size_t>(off + static_cast<std::ptrdiff_t>(oj))] += srow[oj];
-            }
-          } else {
-            for (std::size_t oj = 0; oj < g.wout; ++oj) {
-              const std::ptrdiff_t jj =
-                  static_cast<std::ptrdiff_t>(oj * g.stride + kj) -
-                  static_cast<std::ptrdiff_t>(g.pad);
-              if (jj >= 0 && jj < static_cast<std::ptrdiff_t>(g.w)) {
-                irow[static_cast<std::size_t>(jj)] += srow[oj];
-              }
-            }
+        *off++ = g.tap_offset(c, ki, kj);
+      }
+    }
+  }
+}
+
+void conv_pixel_offsets(const kern::Conv2dGeom& g, std::size_t* pix) {
+  for (std::size_t oi = 0; oi < g.hout; ++oi) {
+    for (std::size_t oj = 0; oj < g.wout; ++oj) *pix++ = oi * g.wq + oj;
+  }
+}
+
+namespace {
+
+/// Output indices [lo, hi) whose tap k lands inside [0, n) of the input:
+/// 0 <= o * s + k - pad < n.
+std::pair<std::size_t, std::size_t> taps_inside(std::size_t k, std::size_t pad,
+                                                std::size_t n, std::size_t nout,
+                                                std::size_t s) {
+  const std::size_t lo = k >= pad ? 0 : (pad - k + s - 1) / s;
+  const std::size_t hi =
+      n + pad <= k ? 0 : std::min(nout, (n + pad - k + s - 1) / s);
+  return {std::min(lo, hi), hi};
+}
+
+}  // namespace
+
+void conv_scatter_channel(const float* tile, float* din_c,
+                          const kern::Conv2dGeom& g) {
+  const std::size_t hw = g.hw(), s = g.stride;
+  for (std::size_t ki = 0; ki < g.kh; ++ki) {
+    const auto [oi0, oi1] = taps_inside(ki, g.pad, g.h, g.hout, s);
+    for (std::size_t kj = 0; kj < g.kw; ++kj) {
+      const auto [oj0, oj1] = taps_inside(kj, g.pad, g.w, g.wout, s);
+      const float* src = tile + (ki * g.kw + kj) * hw;
+      for (std::size_t oi = oi0; oi < oi1; ++oi) {
+        const float* __restrict srow = src + oi * g.wout;
+        float* __restrict irow = din_c + (oi * s + ki - g.pad) * g.w;
+        if (s == 1) {
+          float* __restrict d = irow + oj0 + kj - g.pad;
+          for (std::size_t oj = oj0; oj < oj1; ++oj) d[oj - oj0] += srow[oj];
+        } else {
+          for (std::size_t oj = oj0; oj < oj1; ++oj) {
+            irow[oj * s + kj - g.pad] += srow[oj];
           }
         }
       }

@@ -47,8 +47,11 @@ void require_out_numel(const Tensor& ref, const Tensor& out, const char* op) {
                    std::string(op) + ": output numel mismatch");
 }
 
-void zip_into(const Tensor& a, const Tensor& b, const char* op,
-              float (*f)(float, float), Tensor& out) {
+// The op is a template functor, not a function pointer, so it inlines into
+// the element loop instead of costing an indirect call per element.
+template <typename F>
+void zip_into(const Tensor& a, const Tensor& b, const char* op, F f,
+              Tensor& out) {
   require_same_shape(a, b, op);
   require_out_numel(a, out, op);
   const float* pa = a.begin();
@@ -59,16 +62,17 @@ void zip_into(const Tensor& a, const Tensor& b, const char* op,
   });
 }
 
-Tensor zip(const Tensor& a, const Tensor& b, const char* op,
-           float (*f)(float, float)) {
+template <typename F>
+Tensor zip(const Tensor& a, const Tensor& b, const char* op, F f) {
   require_same_shape(a, b, op);
   Tensor out(a.shape());
   zip_into(a, b, op, f, out);
   return out;
 }
 
-void scalar_op_into(const Tensor& a, const char* op, float s,
-                    float (*f)(float, float), Tensor& out) {
+template <typename F>
+void scalar_op_into(const Tensor& a, const char* op, float s, F f,
+                    Tensor& out) {
   require_out_numel(a, out, op);
   const float* pa = a.begin();
   float* po = out.begin();
@@ -76,6 +80,11 @@ void scalar_op_into(const Tensor& a, const char* op, float s,
     for (std::size_t i = lo; i < hi; ++i) po[i] = f(pa[i], s);
   });
 }
+
+/// relu that lets NaN through (x > 0 ? x : 0 would map it to 0 and hide
+/// poison from the quarantine, DESIGN.md §12); equal to it on every other
+/// input, -0 included, and the same `x <= 0` test as relu's backward mask.
+inline float relu1(float x) { return x <= 0.0f ? 0.0f : x; }
 
 }  // namespace
 
@@ -162,8 +171,8 @@ void tanh_into(const Tensor& a, Tensor& out) {
                  [](float x, float) { return std::tanh(x); }, out);
 }
 void relu_into(const Tensor& a, Tensor& out) {
-  scalar_op_into(a, "relu_into", 0.0f,
-                 [](float x, float) { return x > 0.0f ? x : 0.0f; }, out);
+  scalar_op_into(a, "relu_into", 0.0f, [](float x, float) { return relu1(x); },
+                 out);
 }
 void sigmoid_into(const Tensor& a, Tensor& out) {
   scalar_op_into(a, "sigmoid_into", 0.0f,
@@ -197,7 +206,7 @@ Tensor tanh(const Tensor& a) {
   return map(a, [](float x) { return std::tanh(x); });
 }
 Tensor relu(const Tensor& a) {
-  return map(a, [](float x) { return x > 0.0f ? x : 0.0f; });
+  return map(a, [](float x) { return relu1(x); });
 }
 Tensor sigmoid(const Tensor& a) {
   return map(a, [](float x) { return 1.0f / (1.0f + std::exp(-x)); });

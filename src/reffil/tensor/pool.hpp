@@ -1,8 +1,8 @@
 // Thread-local tensor scratch pool.
 //
 // Training allocates the same handful of intermediate shapes thousands of
-// times per round (backward-pass gradients, im2col columns, softmax
-// scratch). Scratch borrows a raw float buffer from a per-thread
+// times per round (backward-pass gradients, conv2d's padded input copy,
+// softmax scratch). Scratch borrows a raw float buffer from a per-thread
 // size-bucketed free list instead of hitting the allocator, wraps it in a
 // non-owning Tensor view for the duration of the scope, and returns it on
 // destruction (RAII).

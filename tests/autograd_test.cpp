@@ -83,6 +83,29 @@ TEST(Autograd, DiamondGraphAccumulates) {
   EXPECT_TRUE(p->grad().all_close(T::Tensor::vector({4, 0})));
 }
 
+TEST(Autograd, ReluPropagatesNaN) {
+  // A NaN activation is poison the quarantine (DESIGN.md §12) must see; relu
+  // used to map it to 0. Forward passes NaN through and backward's
+  // x <= 0 mask lets its gradient through too. -0 and +0 still map to +0.
+  // relu is elementwise outside the dispatch table, so this holds under
+  // every REFFIL_ISA target the suite runs under.
+  const float nan = std::nanf("");
+  auto p = AG::parameter(T::Tensor::vector({nan, -0.0f, 0.0f, -2.0f, 3.0f}));
+  const AG::Var y = AG::relu(p);
+  const float* v = y->value().begin();
+  EXPECT_TRUE(std::isnan(v[0]));
+  for (int i = 1; i <= 3; ++i) {
+    EXPECT_EQ(v[i], 0.0f) << i;
+    EXPECT_FALSE(std::signbit(v[i])) << i;
+  }
+  EXPECT_EQ(v[4], 3.0f);
+  EXPECT_TRUE(std::isnan(T::relu(p->value()).begin()[0]));
+  AG::backward(AG::sum_all(y));
+  EXPECT_EQ(p->grad().begin()[0], 1.0f);
+  EXPECT_EQ(p->grad().begin()[3], 0.0f);
+  EXPECT_EQ(p->grad().begin()[4], 1.0f);
+}
+
 TEST(Autograd, ZeroGradResets) {
   auto p = AG::parameter(T::Tensor::vector({1, 2}));
   AG::backward(AG::sum_all(p));

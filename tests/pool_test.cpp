@@ -158,8 +158,8 @@ TEST(ScratchPool, ConcurrentBorrowsNeverAlias) {
   EXPECT_EQ(failures.load(), 0);
 }
 
-// Every eager train step rebuilds its graph, so every op output, im2col
-// column and backward temporary is borrowed afresh. Once the free lists are
+// Every eager train step rebuilds its graph, so every op output and
+// backward temporary is borrowed afresh. Once the free lists are
 // warm, a steady-state step must be served entirely from them: one miss per
 // step means a bucket-rounding bug sends some borrow to the allocator every
 // time (the bug this test was written to catch).
@@ -192,4 +192,30 @@ TEST(ScratchPool, SteadyStateEagerStepsNeverMiss) {
   for (int i = 0; i < 100; ++i) step();
   EXPECT_EQ(misses(), before)
       << "steady-state eager steps must reuse pooled scratch";
+}
+
+// The tape holds no pooled buffer: conv2d keeps no column matrix, and every
+// forward intermediate of a PromptNet forward pass (the padded conv input,
+// scratch rows) goes back to the free list before the op returns. So while
+// a forward graph is alive, the bytes parked in this thread's free lists are
+// exactly what they were before it was built. (A column matrix held by the
+// conv nodes would be borrowed for the life of the tape and show up here.)
+TEST(ConvFootprint, PromptNetForwardGraphHoldsNoPoolBuffer) {
+  reffil::nn::PromptNetConfig config;
+  config.num_classes = 4;
+  reffil::util::Rng rng(7), data_rng(5);
+  reffil::nn::PromptNet net(config, rng);
+  const T::Tensor image = T::randn({1, 16, 16}, data_rng);
+  for (int i = 0; i < 2; ++i) {  // fault in every bucket forward + backward use
+    AG::backward(AG::cross_entropy_logits(net.forward(image).logits, {1}));
+  }
+  const std::size_t before = pool::thread_stats().retained_bytes;
+  ASSERT_GT(before, 0u);
+  {
+    const auto out = net.forward(image);
+    ASSERT_EQ(out.logits->value().numel(), config.num_classes);
+    EXPECT_EQ(pool::thread_stats().retained_bytes, before)
+        << "a live forward graph holds pooled scratch";
+  }
+  EXPECT_EQ(pool::thread_stats().retained_bytes, before);
 }
