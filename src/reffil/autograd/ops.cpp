@@ -46,7 +46,7 @@ Var add(const Var& a, const Var& b) {
                       [a, b](const T::Tensor& g) {
                         if (a->requires_grad()) a->accumulate_grad(g);
                         if (b->requires_grad()) b->accumulate_grad(g);
-                      });
+                      }, "ag.add");
   T::add_into(a->value(), b->value(), out->mutable_value());
   return out;
 }
@@ -60,7 +60,7 @@ Var sub(const Var& a, const Var& b) {
                           T::neg_into(g, *db);
                           b->accumulate_grad(*db);
                         }
-                      });
+                      }, "ag.sub");
   T::sub_into(a->value(), b->value(), out->mutable_value());
   return out;
 }
@@ -78,14 +78,15 @@ Var mul(const Var& a, const Var& b) {
                           T::mul_into(g, a->value(), *db);
                           b->accumulate_grad(*db);
                         }
-                      });
+                      }, "ag.mul");
   T::mul_into(a->value(), b->value(), out->mutable_value());
   return out;
 }
 
 Var add_scalar(const Var& a, float s) {
   Var out = make_node(T::Tensor(a->value().shape()), {a},
-                      [a](const T::Tensor& g) { a->accumulate_grad(g); });
+                      [a](const T::Tensor& g) { a->accumulate_grad(g); },
+                      "ag.add_scalar");
   T::add_scalar_into(a->value(), s, out->mutable_value());
   return out;
 }
@@ -96,7 +97,7 @@ Var mul_scalar(const Var& a, float s) {
                         T::pool::Scratch da(g.shape(), /*zero=*/false);
                         T::mul_scalar_into(g, s, *da);
                         a->accumulate_grad(*da);
-                      });
+                      }, "ag.mul_scalar");
   T::mul_scalar_into(a->value(), s, out->mutable_value());
   return out;
 }
@@ -128,7 +129,7 @@ Var relu(const Var& a) {
 }
 
 Var tanh(const Var& a) {
-  Var out = make_node(T::Tensor(a->value().shape()), {a}, {});
+  Var out = make_node(T::Tensor(a->value().shape()), {a}, {}, "ag.tanh");
   if (out->requires_grad()) {
     // Reads y from the node's own value instead of keeping a copy.
     out->set_backward([a, self = out.get()](const T::Tensor& g) {
@@ -147,7 +148,7 @@ Var tanh(const Var& a) {
 }
 
 Var sigmoid(const Var& a) {
-  Var out = make_node(T::Tensor(a->value().shape()), {a}, {});
+  Var out = make_node(T::Tensor(a->value().shape()), {a}, {}, "ag.sigmoid");
   if (out->requires_grad()) {
     out->set_backward([a, self = out.get()](const T::Tensor& g) {
       T::pool::Scratch dx(g.shape(), /*zero=*/false);
@@ -165,7 +166,7 @@ Var sigmoid(const Var& a) {
 }
 
 Var exp(const Var& a) {
-  Var out = make_node(T::Tensor(a->value().shape()), {a}, {});
+  Var out = make_node(T::Tensor(a->value().shape()), {a}, {}, "ag.exp");
   if (out->requires_grad()) {
     out->set_backward([a, self = out.get()](const T::Tensor& g) {
       T::pool::Scratch dx(g.shape(), /*zero=*/false);
@@ -183,7 +184,7 @@ Var log(const Var& a) {
                         T::pool::Scratch dx(g.shape(), /*zero=*/false);
                         T::div_into(g, a->value(), *dx);
                         a->accumulate_grad(*dx);
-                      });
+                      }, "ag.log");
   T::log_into(a->value(), out->mutable_value());
   return out;
 }
@@ -253,7 +254,7 @@ Var transpose(const Var& a) {
                         T::pool::Scratch da(a->value().shape(), /*zero=*/false);
                         T::transpose2d_into(g, *da);
                         a->accumulate_grad(*da);
-                      });
+                      }, "ag.transpose");
   T::transpose2d_into(a->value(), out->mutable_value());
   return out;
 }
@@ -366,7 +367,7 @@ Var reshape(const Var& a, tensor::Shape shape) {
                         T::pool::Scratch da(original, /*zero=*/false);
                         T::copy_into(g, *da);
                         a->accumulate_grad(*da);
-                      });
+                      }, "ag.reshape");
   T::copy_into(a->value(), out->mutable_value());
   return out;
 }
@@ -395,7 +396,7 @@ Var concat_rows(const Var& a, const Var& b) {
                           std::copy(pg + ma * n, pg + (ma + mb) * n, db->begin());
                           b->accumulate_grad(*db);
                         }
-                      });
+                      }, "ag.concat_rows");
   float* pv = out->mutable_value().begin();
   pv = std::copy(a->value().begin(), a->value().end(), pv);
   std::copy(b->value().begin(), b->value().end(), pv);
@@ -434,7 +435,7 @@ Var concat_cols(const Var& a, const Var& b) {
                           }
                           b->accumulate_grad(*db);
                         }
-                      });
+                      }, "ag.concat_cols");
   const float* pav = a->value().begin();
   const float* pbv = b->value().begin();
   float* pv = out->mutable_value().begin();
@@ -459,7 +460,7 @@ Var slice_rows(const Var& a, std::size_t begin, std::size_t end) {
                                     d + i * n);
                         }
                         a->accumulate_grad(*da);
-                      });
+                      }, "ag.slice_rows");
   std::copy(a->value().begin() + begin * n, a->value().begin() + end * n,
             out->mutable_value().begin());
   return out;
@@ -479,7 +480,7 @@ Var slice_cols(const Var& a, std::size_t begin, std::size_t end) {
                           std::copy(pg + i * w, pg + (i + 1) * w, d + i * n + begin);
                         }
                         a->accumulate_grad(*da);
-                      });
+                      }, "ag.slice_cols");
   const float* pav = a->value().begin();
   float* pv = out->mutable_value().begin();
   for (std::size_t i = 0; i < m; ++i) {
@@ -497,7 +498,7 @@ Var select_row(const Var& table, std::size_t index) {
                         T::pool::Scratch dt({m, n});  // zeroed: only row `index` is written
                         std::copy(g.begin(), g.begin() + n, dt->begin() + index * n);
                         table->accumulate_grad(*dt);
-                      });
+                      }, "ag.select_row");
   std::copy(table->value().begin() + index * n,
             table->value().begin() + (index + 1) * n,
             out->mutable_value().begin());
@@ -510,7 +511,7 @@ Var sum_all(const Var& a) {
                         T::pool::Scratch da(a->value().shape(), /*zero=*/false);
                         std::fill(da->begin(), da->end(), g.item());
                         a->accumulate_grad(*da);
-                      });
+                      }, "ag.sum_all");
   out->mutable_value().begin()[0] = T::sum_all(a->value());
   return out;
 }
@@ -522,7 +523,7 @@ Var mean_all(const Var& a) {
                         T::pool::Scratch da(a->value().shape(), /*zero=*/false);
                         std::fill(da->begin(), da->end(), g.item() * inv);
                         a->accumulate_grad(*da);
-                      });
+                      }, "ag.mean_all");
   out->mutable_value().begin()[0] = T::mean_all(a->value());
   return out;
 }
@@ -541,7 +542,7 @@ Var mean_rows(const Var& a) {
                           for (std::size_t j = 0; j < n; ++j) d[i * n + j] = pg[j] * inv;
                         }
                         a->accumulate_grad(*da);
-                      });
+                      }, "ag.mean_rows");
   T::sum_rows_into(a->value(), out->mutable_value());
   T::scale_inplace(out->mutable_value(), 1.0f / static_cast<float>(m));
   return out;
@@ -884,8 +885,9 @@ Var conv2d(const Var& input, const Var& weight, const Var& bias, std::size_t kh,
           prof::Span span("conv2d_dw", padded_bytes + out_bytes + weight_bytes);
           T::pool::Scratch xp = padded_input(input->value(), geom);
           T::pool::Scratch dw(weight->value().shape(), /*zero=*/false);
-          conv_fan_out(cout, geom, [&](std::size_t lo, std::size_t hi) {
-            kt.conv2d_dw_rows(pg, xp->begin(), dw->begin(), lo, hi, geom);
+          conv_fan_out(geom.cin, geom, [&](std::size_t lo, std::size_t hi) {
+            T::kern::conv2d_dw_channels(kt, pg, xp->begin(), dw->begin(), lo,
+                                        hi, geom);
           });
           weight->accumulate_grad(*dw);
         }
@@ -894,8 +896,8 @@ Var conv2d(const Var& input, const Var& weight, const Var& bias, std::size_t kh,
           prof::Span span("conv2d_dx", weight_bytes + out_bytes +
                                            dinput->numel() * sizeof(float));
           conv_fan_out(geom.cin, geom, [&](std::size_t lo, std::size_t hi) {
-            kt.conv2d_dx_channels(weight->value().begin(), pg, dinput->begin(),
-                                  lo, hi, geom);
+            T::kern::conv2d_dx_channels(kt, weight->value().begin(), pg,
+                                        dinput->begin(), lo, hi, geom);
           });
           input->accumulate_grad(*dinput);
         }

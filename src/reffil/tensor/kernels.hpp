@@ -207,9 +207,11 @@ inline void log_softmax_rows(const float* src, float* dst, std::size_t r0,
 /// off[t] = g.tap_offset(ci, ki, kj) for column-matrix row t = (ci, ki, kj).
 void conv_tap_offsets(const kern::Conv2dGeom& g, std::size_t* off);
 
-/// pix[p] = oi * g.wq + oj for output pixel p = oi * wout + oj, so that
-/// column-matrix element (t, p) is xp[off[t] + pix[p]].
-void conv_pixel_offsets(const kern::Conv2dGeom& g, std::size_t* pix);
+/// tile[kh*kw, hout*wq] = the column-matrix rows of input channel c over
+/// virtual positions oi*wq + oj, copied from the padded copy xp; the
+/// wq - wout dropped columns of each row are set to 0.
+void conv_gather_channel(const float* xp, std::size_t c, float* tile,
+                         const kern::Conv2dGeom& g);
 
 /// din_c[h, w] += the col2im scatter of one input channel's kh*kw rows
 /// tile[kh*kw, hout*wout], in (ki, kj, oi, oj) order; taps that fall into

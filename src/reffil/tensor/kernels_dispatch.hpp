@@ -1,7 +1,7 @@
 // Runtime CPU-feature-dispatched kernel table (DESIGN.md §12).
 //
 // Every hot inner loop of the tensor layer — the matmul row kernels, the
-// blocked elementwise/axpy sweeps, the row-range softmax pair, and the three
+// blocked elementwise/axpy sweeps, the row-range softmax pair, and the
 // direct conv2d kernels — is reached through one table of function
 // pointers resolved exactly once at startup. The binary carries every
 // target the toolchain could compile (scalar always; AVX2 on x86-64; NEON
@@ -131,31 +131,17 @@ struct Kernels {
   void (*log_softmax_rows)(const float* src, float* dst, std::size_t r0,
                            std::size_t r1, std::size_t n);
 
-  // Direct conv2d. `xp` is the conv2d_pad_input copy of the input, `w` the
-  // [cout, cin*kh*kw] weight, `gy` the [cout, hout*wout] output gradient.
-  // Each product element is one accumulation chain streaming k upward from
-  // 0, where k runs over the column-matrix rows (ci, ki, kj) for forward,
-  // over output pixels for dW (padding taps included, as madds against 0)
-  // and over output channels for dX's Wᵀ * gy, whose rows are then
-  // scatter-added in col2im's (ki, kj, oi, oj) order. So results match the
-  // im2col + matmul (+ col2im) lowering of this target bitwise and do not
-  // depend on the range split.
-
-  /// Rows [co0, co1) of out[cout, hout*wout] = W * x (no bias); every
-  /// element of those rows is written.
+  /// Direct conv2d forward: rows [co0, co1) of out[cout, hout*wout] = W * x
+  /// (no bias), with `xp` the conv2d_pad_input copy of the input and `w` the
+  /// [cout, cin*kh*kw] weight; every element of those rows is written. Each
+  /// output element is one accumulation chain over the column-matrix rows
+  /// (ci, ki, kj) ascending from 0, padding taps included as madds against
+  /// 0, so it matches im2col + matmul_rows_nn of this target bitwise for any
+  /// range split. The weight and input gradients have no entries of their
+  /// own: conv2d_dw_channels and conv2d_dx_channels below run this table's
+  /// matmul row kernels.
   void (*conv2d_rows)(const float* xp, const float* w, float* out,
                       std::size_t co0, std::size_t co1, const Conv2dGeom& g);
-  /// Rows [co0, co1) of dw[cout, cin*kh*kw] = gy * colᵀ; every element of
-  /// those rows is written.
-  void (*conv2d_dw_rows)(const float* gy, const float* xp, float* dw,
-                         std::size_t co0, std::size_t co1,
-                         const Conv2dGeom& g);
-  /// Channels [c0, c1) of din[cin, h, w] = col2im(Wᵀ * gy): every element
-  /// of those channels is written; taps that fall into the padding are
-  /// dropped.
-  void (*conv2d_dx_channels)(const float* w, const float* gy, float* din,
-                             std::size_t c0, std::size_t c1,
-                             const Conv2dGeom& g);
 
   // Q8 block codec (quant.hpp): int8 blocks of quant::kQ8Block with one f32
   // scale each. Bitwise-identical across targets on finite inputs.
@@ -171,6 +157,31 @@ struct Kernels {
   void (*q8_axpy)(float* y, float s, const std::int8_t* q, const float* scales,
                   std::size_t n);
 };
+
+/// Input channels [c0, c1) of dw[cout, cin*kh*kw] = gy * colᵀ on target
+/// `kt`, with `gy` the [cout, hout*wout] output gradient and `xp` the
+/// conv2d_pad_input copy: each channel's kh*kw rows of col are copied from
+/// xp into an L1-sized tile over virtual positions (one contiguous run per
+/// tap, dropped columns zeroed), and col_c * gyᵀ (the transpose of that
+/// channel's dw columns) runs through kt.matmul_rows_nn, timed as a
+/// "matmul" span. Every dw column of those channels is written. Each
+/// element is one chain over output pixels ascending from 0 (plus exact
+/// +0 * 0 steps at dropped columns), so it matches gy * colᵀ through kt's
+/// matmul bitwise, for any channel split.
+void conv2d_dw_channels(const Kernels& kt, const float* gy, const float* xp,
+                        float* dw, std::size_t c0, std::size_t c1,
+                        const Conv2dGeom& g);
+
+/// Channels [c0, c1) of din[cin, h, w] = col2im(Wᵀ * gy) on target `kt`:
+/// each input channel's kh*kw rows of Wᵀ * gy go into an L1-sized tile
+/// through kt.matmul_rows_tn (timed as a "matmul_tn" span, like every other
+/// call of that kernel), then scatter-add in col2im's (ki, kj, oi, oj)
+/// order. Every element of those channels is written; taps that fall into
+/// the padding are dropped. Bitwise equal to Wᵀ * gy through kt's matmul
+/// followed by col2im, for any channel split.
+void conv2d_dx_channels(const Kernels& kt, const float* w, const float* gy,
+                        float* din, std::size_t c0, std::size_t c1,
+                        const Conv2dGeom& g);
 
 /// The table selected for this process. Resolved once on first use
 /// (REFFIL_ISA override, else best supported); stable for the process

@@ -7,8 +7,10 @@
 #include "reffil/tensor/kernels.hpp"
 #include "reffil/tensor/kernels_dispatch.hpp"
 #include "reffil/tensor/quant.hpp"
+#include "reffil/util/prof.hpp"
 
 #include <algorithm>
+#include <cstdint>
 #include <cstring>
 #include <utility>
 #include <vector>
@@ -38,39 +40,6 @@ void conv2d_rows(const float* xp, const float* w, float* out, std::size_t co0,
   }
 }
 
-void conv2d_dw_rows(const float* gy, const float* xp, float* dw,
-                    std::size_t co0, std::size_t co1, const Conv2dGeom& g) {
-  const std::size_t taps = g.taps(), hw = g.hw();
-  thread_local std::vector<std::size_t> off, pix;
-  off.resize(taps);
-  detail::conv_tap_offsets(g, off.data());
-  pix.resize(hw);
-  detail::conv_pixel_offsets(g, pix.data());
-  for (std::size_t co = co0; co < co1; ++co) {
-    float* drow = dw + co * taps;
-    std::fill(drow, drow + taps, 0.0f);
-    for (std::size_t p = 0; p < hw; ++p) {
-      const float gp = gy[co * hw + p];
-      const float* src = xp + pix[p];
-      for (std::size_t t = 0; t < taps; ++t) drow[t] += gp * src[off[t]];
-    }
-  }
-}
-
-void conv2d_dx_channels(const float* w, const float* gy, float* din,
-                        std::size_t c0, std::size_t c1, const Conv2dGeom& g) {
-  const std::size_t kk = g.kh * g.kw, hw = g.hw();
-  thread_local std::vector<float> tile;
-  for (std::size_t c = c0; c < c1; ++c) {
-    tile.assign(kk * hw, 0.0f);
-    detail::matmul_rows_tn(w + c * kk, gy, tile.data(), 0, kk, g.cout,
-                           g.taps(), hw);
-    float* din_c = din + c * g.h * g.w;
-    std::fill(din_c, din_c + g.h * g.w, 0.0f);
-    detail::conv_scatter_channel(tile.data(), din_c, g);
-  }
-}
-
 constexpr Kernels kScalarTable = {
     "scalar",
     &detail::matmul_rows_nn,
@@ -82,8 +51,6 @@ constexpr Kernels kScalarTable = {
     &detail::softmax_rows,
     &detail::log_softmax_rows,
     &conv2d_rows,
-    &conv2d_dw_rows,
-    &conv2d_dx_channels,
     &detail::q8_encode,
     &detail::q8_decode,
     &detail::q8_axpy,
@@ -115,6 +82,62 @@ Conv2dGeom conv2d_geom(std::size_t cin, std::size_t h, std::size_t w,
            kConvSpanAlign;
   g.padded = cin * stride * stride * g.hq * g.wq + g.span;
   return g;
+}
+
+void conv2d_dw_channels(const Kernels& kt, const float* gy, const float* xp,
+                        float* dw, std::size_t c0, std::size_t c1,
+                        const Conv2dGeom& g) {
+  // k runs over virtual positions oi*wq + oj. At the wq - wout dropped
+  // columns of each row both gyv and the tile hold 0, so those steps add
+  // +0 * 0, which leaves every accumulator (never -0: chains start at +0)
+  // bitwise unchanged, NaN and Inf included.
+  const std::size_t kk = g.kh * g.kw, cout = g.cout, vn = g.hout * g.wq;
+  const std::uint64_t tile_bytes = (kk * vn + vn * cout + kk * cout) *
+                                   sizeof(float);
+  thread_local std::vector<float> gyv, tile, dwt;
+  gyv.assign(vn * cout, 0.0f);
+  for (std::size_t co = 0; co < cout; ++co) {
+    const float* src = gy + co * g.hw();
+    for (std::size_t oi = 0; oi < g.hout; ++oi) {
+      float* dst = gyv.data() + oi * g.wq * cout + co;
+      for (std::size_t oj = 0; oj < g.wout; ++oj) {
+        dst[oj * cout] = src[oi * g.wout + oj];
+      }
+    }
+  }
+  tile.resize(kk * vn);
+  for (std::size_t c = c0; c < c1; ++c) {
+    detail::conv_gather_channel(xp, c, tile.data(), g);
+    dwt.assign(kk * cout, 0.0f);
+    {
+      obs::prof::Span span("matmul", tile_bytes);
+      kt.matmul_rows_nn(tile.data(), gyv.data(), dwt.data(), 0, kk, vn, cout);
+    }
+    for (std::size_t co = 0; co < cout; ++co) {
+      float* dst = dw + co * g.taps() + c * kk;
+      for (std::size_t t = 0; t < kk; ++t) dst[t] = dwt[t * cout + co];
+    }
+  }
+}
+
+void conv2d_dx_channels(const Kernels& kt, const float* w, const float* gy,
+                        float* din, std::size_t c0, std::size_t c1,
+                        const Conv2dGeom& g) {
+  const std::size_t kk = g.kh * g.kw, hw = g.hw();
+  const std::uint64_t tile_bytes =
+      (g.cout * kk + g.cout * hw + kk * hw) * sizeof(float);
+  thread_local std::vector<float> tile;
+  for (std::size_t c = c0; c < c1; ++c) {
+    tile.assign(kk * hw, 0.0f);
+    {
+      obs::prof::Span span("matmul_tn", tile_bytes);
+      kt.matmul_rows_tn(w + c * kk, gy, tile.data(), 0, kk, g.cout, g.taps(),
+                        hw);
+    }
+    float* din_c = din + c * g.h * g.w;
+    std::fill(din_c, din_c + g.h * g.w, 0.0f);
+    detail::conv_scatter_channel(tile.data(), din_c, g);
+  }
 }
 
 // Conv data movement — the single shared definitions every dispatch table
@@ -162,9 +185,16 @@ void conv_tap_offsets(const kern::Conv2dGeom& g, std::size_t* off) {
   }
 }
 
-void conv_pixel_offsets(const kern::Conv2dGeom& g, std::size_t* pix) {
-  for (std::size_t oi = 0; oi < g.hout; ++oi) {
-    for (std::size_t oj = 0; oj < g.wout; ++oj) *pix++ = oi * g.wq + oj;
+void conv_gather_channel(const float* xp, std::size_t c, float* tile,
+                         const kern::Conv2dGeom& g) {
+  const std::size_t vn = g.hout * g.wq, drop = g.wq - g.wout;
+  for (std::size_t ki = 0; ki < g.kh; ++ki) {
+    for (std::size_t kj = 0; kj < g.kw; ++kj, tile += vn) {
+      std::memcpy(tile, xp + g.tap_offset(c, ki, kj), vn * sizeof(float));
+      for (std::size_t oi = 0; oi < g.hout; ++oi) {
+        std::fill_n(tile + oi * g.wq + g.wout, drop, 0.0f);
+      }
+    }
   }
 }
 

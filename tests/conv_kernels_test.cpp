@@ -208,8 +208,8 @@ ConvResult oracle(const kern::Kernels& t, const ConvData& d) {
   return r;
 }
 
-/// Run the direct kernels over the given split points of [0, cout) (and of
-/// [0, cin) for dX); outputs start as garbage.
+/// Run the direct kernels over the given split points of [0, cout) for
+/// forward and of [0, cin) for dW and dX; outputs start as garbage.
 ConvResult direct(const kern::Kernels& t, const ConvData& d,
                   const std::vector<std::size_t>& cuts) {
   const kern::Conv2dGeom& g = d.g;
@@ -229,10 +229,12 @@ ConvResult direct(const kern::Kernels& t, const ConvData& d,
   };
   ranges(g.cout, [&](std::size_t lo, std::size_t hi) {
     t.conv2d_rows(d.xp.data(), d.w.data(), r.out.data(), lo, hi, g);
-    t.conv2d_dw_rows(d.gy.data(), d.xp.data(), r.dw.data(), lo, hi, g);
   });
   ranges(g.cin, [&](std::size_t lo, std::size_t hi) {
-    t.conv2d_dx_channels(d.w.data(), d.gy.data(), r.din.data(), lo, hi, g);
+    kern::conv2d_dw_channels(t, d.gy.data(), d.xp.data(), r.dw.data(), lo,
+                             hi, g);
+    kern::conv2d_dx_channels(t, d.w.data(), d.gy.data(), r.din.data(), lo,
+                             hi, g);
   });
   return r;
 }

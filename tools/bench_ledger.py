@@ -3,15 +3,17 @@
 
     python3 tools/bench_ledger.py --parent HEAD~1 --change HEAD \\
         --note "what the change does" --claim eval_images_per_s \\
-        --pairs 3 --pairs-on digits-finetune=10 --seconds 15
+        --pairs-on digits-finetune=10
 
 Exports both revisions into a temporary directory (`git archive`; the
 special revision WORKTREE exports the files git tracks, staged new files
-included, as they are in the working tree), builds fdilbench in each export
-with that export's own fdilbench/run.py, then runs
-`fdilbench --workload W --seed S --seconds T --trace 0` on both sides in
-alternating pairs; the side that runs first flips every pair, so drift of
-the host does not favour one side. Each run's result line is one sample.
+included, as they are in the working tree) and runs each export's own
+`python3 fdilbench/run.py --workload W --seed 7 --trace 0` on both sides in
+alternating pairs, over the three benchmark workloads. The run length is
+run.py's default, as for the benchmark itself. The side that runs first
+flips every pair, so drift of the host does not favour one side. Each
+run's result line is one sample. Pairs per workload default to 5;
+--pairs-on WORKLOAD=N changes one.
 
 The entry records the host (nproc, pool threads, ISA, build type, compiler,
 parallelism), per-metric medians of each side, the run_s speedup, how many
@@ -35,7 +37,10 @@ import sys
 import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+LEDGER = os.path.join(ROOT, "BENCH_e2e.json")
 WORKLOADS = ["digits-finetune", "digits-reffil", "cohort-q8"]
+SEED = 7
+PAIRS = 5
 # Metrics where a larger value is better; every other metric is a cost.
 HIGHER_IS_BETTER = {"train_samples_per_s", "eval_images_per_s", "avg_acc",
                     "last_acc", "update_ok_share"}
@@ -71,13 +76,12 @@ def build(tree):
                    stdout=sys.stderr)
 
 
-def run_once(tree, workload, seed, seconds):
-    """One fdilbench run: (host record, result object, per-cell lines)."""
-    binary = os.path.join(tree, ".bench_build", "fdilbench", "fdilbench")
+def run_once(tree, workload):
+    """One benchmark run: (host record, result object, per-cell lines)."""
     proc = subprocess.run(
-        [binary, "--workload", workload, "--seed", str(seed), "--seconds",
-         str(seconds), "--trace", "0"],
-        cwd=tree, capture_output=True, text=True, timeout=seconds * 4 + 120)
+        [sys.executable, "fdilbench/run.py", "--workload", workload, "--seed",
+         str(SEED), "--trace", "0"],
+        cwd=tree, capture_output=True, text=True)
     host, result, cells = None, None, []
     for line in proc.stdout.splitlines():
         line = line.strip()
@@ -174,21 +178,16 @@ def main():
                         help="revision, or WORKTREE for the working tree")
     parser.add_argument("--note", required=True,
                         help="one line: what the change does")
-    parser.add_argument("--workloads", default=",".join(WORKLOADS))
-    parser.add_argument("--pairs", type=int, default=3)
     parser.add_argument("--pairs-on", action="append", default=[],
                         metavar="WORKLOAD=N", help="pairs for one workload")
-    parser.add_argument("--seconds", type=float, default=15)
-    parser.add_argument("--seed", type=int, default=7)
     parser.add_argument("--claim", default="",
                         help="metric the change claims to improve")
     parser.add_argument("--machine", default="",
                         help="free-text host description for the record")
-    parser.add_argument("--ledger", default=os.path.join(ROOT, "BENCH_e2e.json"))
     parser.add_argument("--dry-run", action="store_true")
     args = parser.parse_args()
 
-    pairs = {w: args.pairs for w in args.workloads.split(",")}
+    pairs = {w: PAIRS for w in WORKLOADS}
     for item in args.pairs_on:
         workload, _, n = item.partition("=")
         if workload not in pairs or not n.isdigit():
@@ -214,8 +213,7 @@ def main():
                 order = ("parent", "change") if i % 2 == 0 else \
                     ("change", "parent")
                 for side in order:
-                    sample = run_once(trees[side], workload, args.seed,
-                                      args.seconds)
+                    sample = run_once(trees[side], workload)
                     samples[side].append(sample)
                     host = host or sample[0]
                     print(f"{workload} pair {i + 1}/{n} {side}: run_s "
@@ -239,10 +237,10 @@ def main():
         },
         "protocol": (
             "tools/bench_ledger.py: both sides exported and built from "
-            "source; fdilbench --seed {seed} --seconds {sec:g} --trace 0; "
-            "runs alternate sides and the side that goes first flips every "
-            "pair. Pairs: {pairs}.").format(seed=args.seed, sec=args.seconds,
-                                            pairs=pair_text),
+            "source; python3 fdilbench/run.py --workload W --seed {seed} "
+            "--trace 0 at run.py's default run length; runs alternate sides "
+            "and the side that goes first flips every pair. Pairs: {pairs}."
+        ).format(seed=SEED, pairs=pair_text),
         "workloads": workloads,
     }
     if args.claim:
@@ -250,14 +248,14 @@ def main():
     if args.dry_run:
         print(json.dumps(entry, indent=2))
         return 0
-    with open(args.ledger) as f:
+    with open(LEDGER) as f:
         ledger = json.load(f)
     ledger["entries"].append(entry)
-    with open(args.ledger, "w") as f:
+    with open(LEDGER, "w") as f:
         json.dump(ledger, f, indent=2)
         f.write("\n")
     print(f"appended entry for {names['change']} vs {names['parent']} to "
-          f"{args.ledger}", file=sys.stderr)
+          f"{LEDGER}", file=sys.stderr)
     return 0
 
 
