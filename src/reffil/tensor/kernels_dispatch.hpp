@@ -2,7 +2,7 @@
 //
 // Every hot inner loop of the tensor layer — the matmul row kernels, the
 // blocked elementwise/axpy sweeps, the row-range softmax pair, and the
-// direct conv2d kernels — is reached through one table of function
+// direct conv2d forward — is reached through one table of function
 // pointers resolved exactly once at startup. The binary carries every
 // target the toolchain could compile (scalar always; AVX2 on x86-64; NEON
 // on aarch64) and picks the best one the *running* CPU supports, so a
@@ -161,8 +161,8 @@ struct Kernels {
 /// Input channels [c0, c1) of dw[cout, cin*kh*kw] = gy * colᵀ on target
 /// `kt`, with `gy` the [cout, hout*wout] output gradient and `xp` the
 /// conv2d_pad_input copy: each channel's kh*kw rows of col are copied from
-/// xp into an L1-sized tile over virtual positions (one contiguous run per
-/// tap, dropped columns zeroed), and col_c * gyᵀ (the transpose of that
+/// xp into a per-channel tile over virtual positions (one contiguous run
+/// per tap, dropped columns zeroed), and col_c * gyᵀ (the transpose of that
 /// channel's dw columns) runs through kt.matmul_rows_nn, timed as a
 /// "matmul" span. Every dw column of those channels is written. Each
 /// element is one chain over output pixels ascending from 0 (plus exact
