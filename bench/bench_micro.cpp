@@ -117,6 +117,65 @@ static void BM_Conv2dForwardBackward(benchmark::State& state) {
 }
 BENCHMARK(BM_Conv2dForwardBackward);
 
+// ResNetMini's five conv layers (k3 p1; nn/backbone.cpp), each conv kernel
+// of the active dispatch target timed alone on a prebuilt padded copy:
+// forward, dW and dX, next to the plain matmul_rows_nn with the same
+// multiply-add count (cout x cin*9 x hout*wout) as the floor they are read
+// against. Arg 0 picks the layer, arg 1 the part; items are multiply-adds.
+namespace {
+struct ConvLayer {
+  const char* name;
+  std::size_t cin, side, cout, stride;
+};
+constexpr ConvLayer kConvLayers[] = {{"stem", 1, 16, 8, 1},
+                                     {"block1", 8, 16, 8, 1},
+                                     {"down1", 8, 16, 16, 2},
+                                     {"block2", 16, 8, 16, 1},
+                                     {"down2", 16, 8, 32, 2}};
+const char* const kConvParts[] = {"fwd", "dW", "dX", "gemm"};
+}  // namespace
+
+static void BM_Conv2dLayer(benchmark::State& state) {
+  const ConvLayer& l = kConvLayers[state.range(0)];
+  const auto part = state.range(1);
+  const T::kern::Conv2dGeom g =
+      T::kern::conv2d_geom(l.cin, l.side, l.side, l.cout, 3, 3, l.stride, 1);
+  const T::kern::Kernels& kt = T::kern::active();
+  Rng rng(12);
+  const T::Tensor x = T::randn({l.cin, l.side, l.side}, rng);
+  const T::Tensor w = T::randn({l.cout, g.taps()}, rng);
+  const T::Tensor gy = T::randn({l.cout, g.hw()}, rng);
+  const T::Tensor b = T::randn({g.taps(), g.hw()}, rng);
+  std::vector<float> xp(g.padded);
+  T::kern::conv2d_pad_input(x.begin(), xp.data(), g);
+  std::vector<float> out(std::max(l.cout * g.hw(), l.cout * g.taps()));
+  std::vector<float> din(l.cin * l.side * l.side);
+  for (auto _ : state) {
+    switch (part) {
+      case 0:
+        kt.conv2d_rows(xp.data(), w.begin(), out.data(), 0, l.cout, g);
+        break;
+      case 1:
+        kt.conv2d_dw_channels(gy.begin(), xp.data(), out.data(), 0, l.cin, g);
+        break;
+      case 2:
+        kt.conv2d_dx_channels(w.begin(), gy.begin(), din.data(), 0, l.cin, g);
+        break;
+      default:
+        std::fill(out.begin(), out.end(), 0.0f);
+        kt.matmul_rows_nn(w.begin(), b.begin(), out.data(), 0, l.cout,
+                          g.taps(), g.hw());
+    }
+    benchmark::DoNotOptimize(out.data());
+    benchmark::DoNotOptimize(din.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetLabel(std::string(l.name) + " " + kConvParts[part]);
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(l.cout * g.taps() * g.hw()));
+}
+BENCHMARK(BM_Conv2dLayer)->ArgsProduct({{0, 1, 2, 3, 4}, {0, 1, 2, 3}});
+
 static void BM_PromptNetForward(benchmark::State& state) {
   Rng rng(3);
   reffil::nn::PromptNetConfig config;

@@ -886,8 +886,7 @@ Var conv2d(const Var& input, const Var& weight, const Var& bias, std::size_t kh,
           T::pool::Scratch xp = padded_input(input->value(), geom);
           T::pool::Scratch dw(weight->value().shape(), /*zero=*/false);
           conv_fan_out(geom.cin, geom, [&](std::size_t lo, std::size_t hi) {
-            T::kern::conv2d_dw_channels(kt, pg, xp->begin(), dw->begin(), lo,
-                                        hi, geom);
+            kt.conv2d_dw_channels(pg, xp->begin(), dw->begin(), lo, hi, geom);
           });
           weight->accumulate_grad(*dw);
         }
@@ -896,8 +895,8 @@ Var conv2d(const Var& input, const Var& weight, const Var& bias, std::size_t kh,
           prof::Span span("conv2d_dx", weight_bytes + out_bytes +
                                            dinput->numel() * sizeof(float));
           conv_fan_out(geom.cin, geom, [&](std::size_t lo, std::size_t hi) {
-            T::kern::conv2d_dx_channels(kt, weight->value().begin(), pg,
-                                        dinput->begin(), lo, hi, geom);
+            kt.conv2d_dx_channels(weight->value().begin(), pg,
+                                  dinput->begin(), lo, hi, geom);
           });
           input->accumulate_grad(*dinput);
         }

@@ -207,16 +207,13 @@ inline void log_softmax_rows(const float* src, float* dst, std::size_t r0,
 /// off[t] = g.tap_offset(ci, ki, kj) for column-matrix row t = (ci, ki, kj).
 void conv_tap_offsets(const kern::Conv2dGeom& g, std::size_t* off);
 
-/// tile[kh*kw, hout*wq] = the column-matrix rows of input channel c over
-/// virtual positions oi*wq + oj, copied from the padded copy xp; the
-/// wq - wout dropped columns of each row are set to 0.
-void conv_gather_channel(const float* xp, std::size_t c, float* tile,
-                         const kern::Conv2dGeom& g);
+/// pos[oi*wout + oj] = oi*wq + oj: where each real output position's taps
+/// sit in the padded copy, relative to the tap's offset.
+void conv_positions(const kern::Conv2dGeom& g, std::size_t* pos);
 
-/// din_c[h, w] += the col2im scatter of one input channel's kh*kw rows
-/// tile[kh*kw, hout*wout], in (ki, kj, oi, oj) order; taps that fall into
-/// the padding are dropped.
-void conv_scatter_channel(const float* tile, float* din_c,
-                          const kern::Conv2dGeom& g);
+/// dst[c*dst_ld + r] = src[r*src_ld + c] for r < rows, c < cols: the operand
+/// re-layouts that put the conv kernels' vector dimension innermost.
+void transpose_into(const float* src, std::size_t rows, std::size_t cols,
+                    std::size_t src_ld, float* dst, std::size_t dst_ld);
 
 }  // namespace reffil::tensor::detail

@@ -52,6 +52,25 @@ inline vfloat vpow2i(vfloat n) {
   return _mm256_castsi256_ps(_mm256_slli_epi32(e, 23));
 }
 
+/// In-place transpose of the 8 x 8 block held in r[0..8).
+inline void vtranspose(vfloat* r) {
+  __m256 t[8], u[8];
+  for (int i = 0; i < 8; i += 2) {
+    t[i] = _mm256_unpacklo_ps(r[i], r[i + 1]);
+    t[i + 1] = _mm256_unpackhi_ps(r[i], r[i + 1]);
+  }
+  for (int i = 0; i < 8; i += 4) {
+    u[i] = _mm256_shuffle_ps(t[i], t[i + 2], _MM_SHUFFLE(1, 0, 1, 0));
+    u[i + 1] = _mm256_shuffle_ps(t[i], t[i + 2], _MM_SHUFFLE(3, 2, 3, 2));
+    u[i + 2] = _mm256_shuffle_ps(t[i + 1], t[i + 3], _MM_SHUFFLE(1, 0, 1, 0));
+    u[i + 3] = _mm256_shuffle_ps(t[i + 1], t[i + 3], _MM_SHUFFLE(3, 2, 3, 2));
+  }
+  for (int i = 0; i < 4; ++i) {
+    r[i] = _mm256_permute2f128_ps(u[i], u[i + 4], 0x20);
+    r[i + 4] = _mm256_permute2f128_ps(u[i], u[i + 4], 0x31);
+  }
+}
+
 /// Fixed-order lane reductions: deterministic per target (the order is a
 /// compile-time property of this function, not of the caller's partition).
 inline float vreduce_add(vfloat v) {

@@ -2,11 +2,12 @@
 //
 // Every hot inner loop of the tensor layer — the matmul row kernels, the
 // blocked elementwise/axpy sweeps, the row-range softmax pair, and the
-// direct conv2d forward — is reached through one table of function
-// pointers resolved exactly once at startup. The binary carries every
-// target the toolchain could compile (scalar always; AVX2 on x86-64; NEON
-// on aarch64) and picks the best one the *running* CPU supports, so a
-// single fat binary runs unmodified from a baseline VM to an AVX2 server.
+// direct conv2d forward, weight and input gradients — is reached through
+// one table of function pointers resolved exactly once at startup. The
+// binary carries every target the toolchain could compile (scalar always;
+// AVX2 on x86-64; NEON on aarch64) and picks the best one the *running* CPU
+// supports, so a single fat binary runs unmodified from a baseline VM to an
+// AVX2 server.
 //
 // Determinism contract (per dispatch target):
 //  * Within one target, results are a pure function of the inputs: the
@@ -53,14 +54,18 @@ namespace reffil::tensor::kern {
 /// kernel position (ci, ki, kj) for output (oi, oj) sit at
 /// tap_offset(ci, ki, kj) + oi*wq + oj for every stride, so a run of
 /// output columns is a run of contiguous floats. Output (oi, oj) maps to
-/// "virtual position" oi*wq + oj; the wq - wout columns past wout in each
-/// row and everything past hout*wq up to `span` are computed and dropped.
-/// The copy ends in `span` zero floats so those reads stay in bounds.
+/// "virtual position" oi*wq + oj. The SIMD forward at stride 1 may run
+/// along virtual positions: the wq - wout columns past wout in each row and
+/// everything past hout*wq up to `span` are computed and dropped, and the
+/// copy ends in `span` zero floats so those reads stay in bounds. Every
+/// other kernel, and every kernel at stride > 1, touches real output
+/// positions only.
 struct Conv2dGeom {
   std::size_t cin, h, w, cout, kh, kw, stride, pad;
   std::size_t hout, wout;
   std::size_t hq, wq;    ///< rows / columns of one phase plane
-  std::size_t span;      ///< hout*wq rounded up to kConvSpanAlign
+  std::size_t span;      ///< stride 1: hout*wq rounded up to kConvSpanAlign;
+                         ///< stride > 1: 0
   std::size_t padded;    ///< floats in the padded copy, trailing zeros included
 
   std::size_t taps() const { return cin * kh * kw; }
@@ -137,11 +142,26 @@ struct Kernels {
   /// output element is one accumulation chain over the column-matrix rows
   /// (ci, ki, kj) ascending from 0, padding taps included as madds against
   /// 0, so it matches im2col + matmul_rows_nn of this target bitwise for any
-  /// range split. The weight and input gradients have no entries of their
-  /// own: conv2d_dw_channels and conv2d_dx_channels below run this table's
-  /// matmul row kernels.
+  /// range split.
   void (*conv2d_rows)(const float* xp, const float* w, float* out,
                       std::size_t co0, std::size_t co1, const Conv2dGeom& g);
+  /// Input channels [c0, c1) of dw[cout, cin*kh*kw] = gy * colᵀ, with `gy`
+  /// the [cout, hout*wout] output gradient and `xp` the conv2d_pad_input
+  /// copy; every dw column of those channels is written. Each element is one
+  /// chain over the real output pixels ascending from 0, so it matches
+  /// matmul_rows_nt(gy, col) of this target bitwise for any channel split.
+  void (*conv2d_dw_channels)(const float* gy, const float* xp, float* dw,
+                             std::size_t c0, std::size_t c1,
+                             const Conv2dGeom& g);
+  /// Channels [c0, c1) of din[cin, h, w] = col2im(Wᵀ * gy) as a gather:
+  /// each input pixel sums its valid taps in ascending (ki, kj) order from
+  /// 0, and each tap value is one chain over the output channels ascending
+  /// from 0 — the order matmul_rows_tn and col2im's (ki, kj, oi, oj)
+  /// scatter produce, so it matches that lowering bitwise for any channel
+  /// split. Every element of those channels is written.
+  void (*conv2d_dx_channels)(const float* w, const float* gy, float* din,
+                             std::size_t c0, std::size_t c1,
+                             const Conv2dGeom& g);
 
   // Q8 block codec (quant.hpp): int8 blocks of quant::kQ8Block with one f32
   // scale each. Bitwise-identical across targets on finite inputs.
@@ -157,31 +177,6 @@ struct Kernels {
   void (*q8_axpy)(float* y, float s, const std::int8_t* q, const float* scales,
                   std::size_t n);
 };
-
-/// Input channels [c0, c1) of dw[cout, cin*kh*kw] = gy * colᵀ on target
-/// `kt`, with `gy` the [cout, hout*wout] output gradient and `xp` the
-/// conv2d_pad_input copy: each channel's kh*kw rows of col are copied from
-/// xp into a per-channel tile over virtual positions (one contiguous run
-/// per tap, dropped columns zeroed), and col_c * gyᵀ (the transpose of that
-/// channel's dw columns) runs through kt.matmul_rows_nn, timed as a
-/// "matmul" span. Every dw column of those channels is written. Each
-/// element is one chain over output pixels ascending from 0 (plus exact
-/// +0 * 0 steps at dropped columns), so it matches gy * colᵀ through kt's
-/// matmul bitwise, for any channel split.
-void conv2d_dw_channels(const Kernels& kt, const float* gy, const float* xp,
-                        float* dw, std::size_t c0, std::size_t c1,
-                        const Conv2dGeom& g);
-
-/// Channels [c0, c1) of din[cin, h, w] = col2im(Wᵀ * gy) on target `kt`:
-/// each input channel's kh*kw rows of Wᵀ * gy go into an L1-sized tile
-/// through kt.matmul_rows_tn (timed as a "matmul_tn" span, like every other
-/// call of that kernel), then scatter-add in col2im's (ki, kj, oi, oj)
-/// order. Every element of those channels is written; taps that fall into
-/// the padding are dropped. Bitwise equal to Wᵀ * gy through kt's matmul
-/// followed by col2im, for any channel split.
-void conv2d_dx_channels(const Kernels& kt, const float* w, const float* gy,
-                        float* din, std::size_t c0, std::size_t c1,
-                        const Conv2dGeom& g);
 
 /// The table selected for this process. Resolved once on first use
 /// (REFFIL_ISA override, else best supported); stable for the process

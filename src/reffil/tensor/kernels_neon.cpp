@@ -49,6 +49,16 @@ inline vfloat vpow2i(vfloat n) {
   return vreinterpretq_f32_s32(vshlq_n_s32(e, 23));
 }
 
+/// In-place transpose of the 4 x 4 block held in r[0..4).
+inline void vtranspose(vfloat* r) {
+  const float32x4x2_t a = vtrnq_f32(r[0], r[1]);
+  const float32x4x2_t b = vtrnq_f32(r[2], r[3]);
+  r[0] = vcombine_f32(vget_low_f32(a.val[0]), vget_low_f32(b.val[0]));
+  r[1] = vcombine_f32(vget_low_f32(a.val[1]), vget_low_f32(b.val[1]));
+  r[2] = vcombine_f32(vget_high_f32(a.val[0]), vget_high_f32(b.val[0]));
+  r[3] = vcombine_f32(vget_high_f32(a.val[1]), vget_high_f32(b.val[1]));
+}
+
 /// Fixed-order lane reductions (pairwise, same shape as the AVX2 target).
 inline float vreduce_add(vfloat v) {
   const float32x2_t s = vadd_f32(vget_low_f32(v), vget_high_f32(v));

@@ -7,12 +7,10 @@
 #include "reffil/tensor/kernels.hpp"
 #include "reffil/tensor/kernels_dispatch.hpp"
 #include "reffil/tensor/quant.hpp"
-#include "reffil/util/prof.hpp"
 
 #include <algorithm>
 #include <cstdint>
 #include <cstring>
-#include <utility>
 #include <vector>
 
 namespace reffil::tensor::kern {
@@ -40,6 +38,74 @@ void conv2d_rows(const float* xp, const float* w, float* out, std::size_t co0,
   }
 }
 
+/// Per tap row t of input channels [c0, c1), dwᵀ[t, co] streams the real
+/// output pixels p ascending, adding x[t, p] * gyᵀ[p, co] across co.
+void conv2d_dw_channels(const float* gy, const float* xp, float* dw,
+                        std::size_t c0, std::size_t c1, const Conv2dGeom& g) {
+  const std::size_t kk = g.kh * g.kw, taps = g.taps(), hw = g.hw(),
+                    cout = g.cout, t0 = c0 * kk, nt = (c1 - c0) * kk;
+  thread_local std::vector<std::size_t> off, pos;
+  thread_local std::vector<float> gyt, dwt;
+  off.resize(taps);
+  pos.resize(hw);
+  detail::conv_tap_offsets(g, off.data());
+  detail::conv_positions(g, pos.data());
+  gyt.resize(hw * cout);
+  detail::transpose_into(gy, cout, hw, hw, gyt.data(), cout);
+  dwt.assign(nt * cout, 0.0f);
+  for (std::size_t r = 0; r < nt; ++r) {
+    const float* src = xp + off[t0 + r];
+    float* d = dwt.data() + r * cout;
+    for (std::size_t p = 0; p < hw; ++p) {
+      const float x = src[pos[p]];
+      const float* gp = gyt.data() + p * cout;
+      for (std::size_t co = 0; co < cout; ++co) d[co] += x * gp[co];
+    }
+  }
+  detail::transpose_into(dwt.data(), nt, cout, cout, dw + t0, taps);
+}
+
+/// Each input pixel of channels [c0, c1) sums its valid taps in ascending
+/// (ki, kj) order from 0; each tap value streams the output channels
+/// ascending from 0, across the channels of the re-laid wr[t][co][c].
+void conv2d_dx_channels(const float* w, const float* gy, float* din,
+                        std::size_t c0, std::size_t c1, const Conv2dGeom& g) {
+  const std::size_t kk = g.kh * g.kw, taps = g.taps(), hw = g.hw(),
+                    cout = g.cout, cw = c1 - c0, s = g.stride;
+  thread_local std::vector<float> wr, acc, v;
+  wr.resize(kk * cout * cw);
+  for (std::size_t co = 0; co < cout; ++co) {
+    detail::transpose_into(w + co * taps + c0 * kk, cw, kk, kk,
+                           wr.data() + co * cw, cout * cw);
+  }
+  acc.resize(cw);
+  v.resize(cw);
+  for (std::size_t i = 0; i < g.h; ++i) {
+    for (std::size_t j = 0; j < g.w; ++j) {
+      std::fill(acc.begin(), acc.end(), 0.0f);
+      const std::size_t r = i + g.pad, q = j + g.pad;  // padded pixel
+      for (std::size_t ki = 0; ki < g.kh; ++ki) {
+        if (r < ki || (r - ki) % s != 0 || (r - ki) / s >= g.hout) continue;
+        for (std::size_t kj = 0; kj < g.kw; ++kj) {
+          if (q < kj || (q - kj) % s != 0 || (q - kj) / s >= g.wout) continue;
+          const float* gp = gy + (r - ki) / s * g.wout + (q - kj) / s;
+          const float* wt = wr.data() + (ki * g.kw + kj) * cout * cw;
+          std::fill(v.begin(), v.end(), 0.0f);
+          for (std::size_t co = 0; co < cout; ++co) {
+            const float gv = gp[co * hw];
+            const float* wc = wt + co * cw;
+            for (std::size_t c = 0; c < cw; ++c) v[c] += wc[c] * gv;
+          }
+          for (std::size_t c = 0; c < cw; ++c) acc[c] += v[c];
+        }
+      }
+      for (std::size_t c = 0; c < cw; ++c) {
+        din[((c0 + c) * g.h + i) * g.w + j] = acc[c];
+      }
+    }
+  }
+}
+
 constexpr Kernels kScalarTable = {
     "scalar",
     &detail::matmul_rows_nn,
@@ -51,6 +117,8 @@ constexpr Kernels kScalarTable = {
     &detail::softmax_rows,
     &detail::log_softmax_rows,
     &conv2d_rows,
+    &conv2d_dw_channels,
+    &conv2d_dx_channels,
     &detail::q8_encode,
     &detail::q8_decode,
     &detail::q8_axpy,
@@ -78,66 +146,11 @@ Conv2dGeom conv2d_geom(std::size_t cin, std::size_t h, std::size_t w,
   // read; each phase plane holds its share of them.
   g.hq = g.hout - 1 + (kh + stride - 1) / stride;
   g.wq = g.wout - 1 + (kw + stride - 1) / stride;
-  g.span = (g.hout * g.wq + kConvSpanAlign - 1) / kConvSpanAlign *
-           kConvSpanAlign;
+  g.span = stride == 1 ? (g.hout * g.wq + kConvSpanAlign - 1) /
+                             kConvSpanAlign * kConvSpanAlign
+                       : 0;
   g.padded = cin * stride * stride * g.hq * g.wq + g.span;
   return g;
-}
-
-void conv2d_dw_channels(const Kernels& kt, const float* gy, const float* xp,
-                        float* dw, std::size_t c0, std::size_t c1,
-                        const Conv2dGeom& g) {
-  // k runs over virtual positions oi*wq + oj. At the wq - wout dropped
-  // columns of each row both gyv and the tile hold 0, so those steps add
-  // +0 * 0, which leaves every accumulator (never -0: chains start at +0)
-  // bitwise unchanged, NaN and Inf included.
-  const std::size_t kk = g.kh * g.kw, cout = g.cout, vn = g.hout * g.wq;
-  const std::uint64_t tile_bytes = (kk * vn + vn * cout + kk * cout) *
-                                   sizeof(float);
-  thread_local std::vector<float> gyv, tile, dwt;
-  gyv.assign(vn * cout, 0.0f);
-  for (std::size_t co = 0; co < cout; ++co) {
-    const float* src = gy + co * g.hw();
-    for (std::size_t oi = 0; oi < g.hout; ++oi) {
-      float* dst = gyv.data() + oi * g.wq * cout + co;
-      for (std::size_t oj = 0; oj < g.wout; ++oj) {
-        dst[oj * cout] = src[oi * g.wout + oj];
-      }
-    }
-  }
-  tile.resize(kk * vn);
-  for (std::size_t c = c0; c < c1; ++c) {
-    detail::conv_gather_channel(xp, c, tile.data(), g);
-    dwt.assign(kk * cout, 0.0f);
-    {
-      obs::prof::Span span("matmul", tile_bytes);
-      kt.matmul_rows_nn(tile.data(), gyv.data(), dwt.data(), 0, kk, vn, cout);
-    }
-    for (std::size_t co = 0; co < cout; ++co) {
-      float* dst = dw + co * g.taps() + c * kk;
-      for (std::size_t t = 0; t < kk; ++t) dst[t] = dwt[t * cout + co];
-    }
-  }
-}
-
-void conv2d_dx_channels(const Kernels& kt, const float* w, const float* gy,
-                        float* din, std::size_t c0, std::size_t c1,
-                        const Conv2dGeom& g) {
-  const std::size_t kk = g.kh * g.kw, hw = g.hw();
-  const std::uint64_t tile_bytes =
-      (g.cout * kk + g.cout * hw + kk * hw) * sizeof(float);
-  thread_local std::vector<float> tile;
-  for (std::size_t c = c0; c < c1; ++c) {
-    tile.assign(kk * hw, 0.0f);
-    {
-      obs::prof::Span span("matmul_tn", tile_bytes);
-      kt.matmul_rows_tn(w + c * kk, gy, tile.data(), 0, kk, g.cout, g.taps(),
-                        hw);
-    }
-    float* din_c = din + c * g.h * g.w;
-    std::fill(din_c, din_c + g.h * g.w, 0.0f);
-    detail::conv_scatter_channel(tile.data(), din_c, g);
-  }
 }
 
 // Conv data movement — the single shared definitions every dispatch table
@@ -185,54 +198,17 @@ void conv_tap_offsets(const kern::Conv2dGeom& g, std::size_t* off) {
   }
 }
 
-void conv_gather_channel(const float* xp, std::size_t c, float* tile,
-                         const kern::Conv2dGeom& g) {
-  const std::size_t vn = g.hout * g.wq, drop = g.wq - g.wout;
-  for (std::size_t ki = 0; ki < g.kh; ++ki) {
-    for (std::size_t kj = 0; kj < g.kw; ++kj, tile += vn) {
-      std::memcpy(tile, xp + g.tap_offset(c, ki, kj), vn * sizeof(float));
-      for (std::size_t oi = 0; oi < g.hout; ++oi) {
-        std::fill_n(tile + oi * g.wq + g.wout, drop, 0.0f);
-      }
-    }
+void conv_positions(const kern::Conv2dGeom& g, std::size_t* pos) {
+  for (std::size_t oi = 0; oi < g.hout; ++oi) {
+    for (std::size_t oj = 0; oj < g.wout; ++oj) *pos++ = oi * g.wq + oj;
   }
 }
 
-namespace {
-
-/// Output indices [lo, hi) whose tap k lands inside [0, n) of the input:
-/// 0 <= o * s + k - pad < n.
-std::pair<std::size_t, std::size_t> taps_inside(std::size_t k, std::size_t pad,
-                                                std::size_t n, std::size_t nout,
-                                                std::size_t s) {
-  const std::size_t lo = k >= pad ? 0 : (pad - k + s - 1) / s;
-  const std::size_t hi =
-      n + pad <= k ? 0 : std::min(nout, (n + pad - k + s - 1) / s);
-  return {std::min(lo, hi), hi};
-}
-
-}  // namespace
-
-void conv_scatter_channel(const float* tile, float* din_c,
-                          const kern::Conv2dGeom& g) {
-  const std::size_t hw = g.hw(), s = g.stride;
-  for (std::size_t ki = 0; ki < g.kh; ++ki) {
-    const auto [oi0, oi1] = taps_inside(ki, g.pad, g.h, g.hout, s);
-    for (std::size_t kj = 0; kj < g.kw; ++kj) {
-      const auto [oj0, oj1] = taps_inside(kj, g.pad, g.w, g.wout, s);
-      const float* src = tile + (ki * g.kw + kj) * hw;
-      for (std::size_t oi = oi0; oi < oi1; ++oi) {
-        const float* __restrict srow = src + oi * g.wout;
-        float* __restrict irow = din_c + (oi * s + ki - g.pad) * g.w;
-        if (s == 1) {
-          float* __restrict d = irow + oj0 + kj - g.pad;
-          for (std::size_t oj = oj0; oj < oj1; ++oj) d[oj - oj0] += srow[oj];
-        } else {
-          for (std::size_t oj = oj0; oj < oj1; ++oj) {
-            irow[oj * s + kj - g.pad] += srow[oj];
-          }
-        }
-      }
+void transpose_into(const float* src, std::size_t rows, std::size_t cols,
+                    std::size_t src_ld, float* dst, std::size_t dst_ld) {
+  for (std::size_t r = 0; r < rows; ++r) {
+    for (std::size_t c = 0; c < cols; ++c) {
+      dst[c * dst_ld + r] = src[r * src_ld + c];
     }
   }
 }

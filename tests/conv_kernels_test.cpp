@@ -4,13 +4,16 @@
 // The oracle lowers the input to the full [cin*kh*kw, hout*wout] column
 // matrix with a naive per-tap loop, then runs the SAME target's matmul row
 // kernels: forward = W · col, dW = gy · colᵀ, dX = col2im(Wᵀ · gy) with a
-// naive (c, ki, kj, oi, oj) scatter. Every product element of the direct
-// kernels streams k upward in one chain from 0, padding taps included, so
-// each target must match its own oracle bitwise (memcmp) — with NaN, Inf and
-// -0.0 planted in input, weights and output gradient. The kernels also
-// write every element of their range (outputs start as garbage here), and
-// any row/channel split, and the parallel autograd path above the matmul
-// fan-out threshold, reproduce the serial result bitwise.
+// naive (c, ki, kj, oi, oj) scatter. The targets are every runnable one
+// plus a 4-lane stand-in for NEON built from the same SIMD bodies. Every
+// product element of the direct kernels streams k upward in one chain from
+// 0, padding taps included, and every dX pixel adds its taps in the
+// scatter's order, so each target must match its own oracle bitwise
+// (memcmp) — with NaN, Inf and -0.0 planted in input, weights and output
+// gradient. The kernels also write every element of their range (outputs
+// start as garbage here), and any row/channel split, and the parallel
+// autograd path above the matmul fan-out threshold, reproduce the serial
+// result bitwise.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -28,6 +31,11 @@
 #include "reffil/tensor/tensor.hpp"
 #include "reffil/util/rng.hpp"
 
+namespace reffil::tensor::kern {
+// kernels_generic4.cpp: the shared SIMD bodies over 4-lane generic vectors.
+const Kernels& generic4_table();
+}  // namespace reffil::tensor::kern
+
 namespace AG = reffil::autograd;
 namespace T = reffil::tensor;
 namespace kern = reffil::tensor::kern;
@@ -35,6 +43,14 @@ namespace kern = reffil::tensor::kern;
 namespace {
 
 constexpr float kGarbage = -777.25f;
+
+/// Every runnable dispatch target, plus the test-only 4-lane stand-in for
+/// NEON so the SIMD bodies' 4-lane blocks and tails run on any host.
+std::vector<const kern::Kernels*> conv_targets() {
+  std::vector<const kern::Kernels*> out = kern::runnable();
+  out.push_back(&kern::generic4_table());
+  return out;
+}
 
 std::vector<float> random_vec(std::size_t n, std::uint64_t seed) {
   reffil::util::Rng rng(seed);
@@ -86,12 +102,25 @@ struct ConvCase {
   }
 };
 
+/// ResNetMini's five conv layers (k3 p1; nn/backbone.cpp): the stem,
+/// block1, down1, block2 and down2. They reach the 16- and 32-wide output
+/// channel blocks, and down2 (a 4x4 output, for which virtual positions
+/// would compute 32 columns) pins the stride-2 real-position path.
+const ConvCase kResNetMiniLayers[] = {{1, 16, 16, 8, 3, 1, 1},
+                                      {8, 16, 16, 8, 3, 1, 1},
+                                      {8, 16, 16, 16, 3, 2, 1},
+                                      {16, 8, 8, 16, 3, 1, 1},
+                                      {16, 8, 8, 32, 3, 2, 1}};
+
 /// Kernel 1/2/3/5 x stride 1/2 x pad 0/1/2 over non-square inputs, cin = 1,
-/// cout not a multiple of 4 and wout not a multiple of 8 among them.
+/// cout not a multiple of 4 and wout not a multiple of 8 among them, and
+/// 4 channels in and out (exactly one vector of the 4-lane targets); then
+/// the ResNetMini layers.
 std::vector<ConvCase> conv_cases() {
   const ConvCase shapes[] = {{1, 7, 9, 5, 0, 0, 0},
                              {3, 10, 6, 8, 0, 0, 0},
-                             {2, 13, 17, 6, 0, 0, 0}};
+                             {2, 13, 17, 6, 0, 0, 0},
+                             {4, 9, 11, 4, 0, 0, 0}};
   std::vector<ConvCase> out;
   for (const ConvCase& s : shapes) {
     for (const std::size_t k : {1u, 2u, 3u, 5u}) {
@@ -103,6 +132,8 @@ std::vector<ConvCase> conv_cases() {
       }
     }
   }
+  out.insert(out.end(), std::begin(kResNetMiniLayers),
+             std::end(kResNetMiniLayers));
   return out;
 }
 
@@ -231,10 +262,8 @@ ConvResult direct(const kern::Kernels& t, const ConvData& d,
     t.conv2d_rows(d.xp.data(), d.w.data(), r.out.data(), lo, hi, g);
   });
   ranges(g.cin, [&](std::size_t lo, std::size_t hi) {
-    kern::conv2d_dw_channels(t, d.gy.data(), d.xp.data(), r.dw.data(), lo,
-                             hi, g);
-    kern::conv2d_dx_channels(t, d.w.data(), d.gy.data(), r.din.data(), lo,
-                             hi, g);
+    t.conv2d_dw_channels(d.gy.data(), d.xp.data(), r.dw.data(), lo, hi, g);
+    t.conv2d_dx_channels(d.w.data(), d.gy.data(), r.din.data(), lo, hi, g);
   });
   return r;
 }
@@ -246,8 +275,13 @@ TEST(ConvKernels, GeometryMatchesTheConvFormula) {
   EXPECT_EQ(g.hout, 5u);  // (10 + 2 - 3) / 2 + 1
   EXPECT_EQ(g.wout, 4u);  // (7 + 2 - 2) / 2 + 1
   EXPECT_EQ(g.taps(), 18u);
-  EXPECT_EQ(g.span % kern::kConvSpanAlign, 0u);
-  EXPECT_GE(g.span, g.hout * g.wq);
+  // Stride > 1 computes real positions only: no virtual span, no trailing
+  // zeros after the phase planes.
+  EXPECT_EQ(g.span, 0u);
+  EXPECT_EQ(g.padded, 3u * 2 * 2 * g.hq * g.wq);
+  const kern::Conv2dGeom g1 = kern::conv2d_geom(3, 10, 7, 5, 3, 2, 1, 1);
+  EXPECT_EQ(g1.span % kern::kConvSpanAlign, 0u);
+  EXPECT_GE(g1.span, g1.hout * g1.wq);
 }
 
 TEST(ConvKernels, PaddedCopyHoldsEveryTapAtItsOffset) {
@@ -279,7 +313,7 @@ TEST(ConvKernels, ForwardDwDxBitwiseMatchIm2colMatmulOnEveryTarget) {
   std::uint64_t seed = 11;
   for (const ConvCase& c : conv_cases()) {
     const ConvData d = make_data(c, seed++);
-    for (const kern::Kernels* t : kern::runnable()) {
+    for (const kern::Kernels* t : conv_targets()) {
       SCOPED_TRACE(std::string(t->name) + " " + c.name());
       const ConvResult ref = oracle(*t, d);
       const ConvResult got = direct(*t, d, {});
@@ -299,7 +333,7 @@ TEST(ConvKernels, RowAndChannelSplitsAreBitwiseInvariant) {
                             ConvCase{2, 12, 10, 6, 3, 2, 1},
                             ConvCase{5, 6, 6, 9, 1, 2, 0}}) {
     const ConvData d = make_data(c, seed++);
-    for (const kern::Kernels* t : kern::runnable()) {
+    for (const kern::Kernels* t : conv_targets()) {
       SCOPED_TRACE(std::string(t->name) + " " + c.name());
       const ConvResult whole = direct(*t, d, {});
       const ConvResult split = direct(*t, d, {1, 2, 5});
