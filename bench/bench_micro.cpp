@@ -7,6 +7,7 @@
 #include "reffil/autograd/ops.hpp"
 #include "reffil/core/cdap.hpp"
 #include "reffil/core/finch.hpp"
+#include "reffil/core/reffil.hpp"
 #include "reffil/data/generator.hpp"
 #include "reffil/fed/compress.hpp"
 #include "reffil/fed/fedavg.hpp"
@@ -186,6 +187,39 @@ static void BM_PromptNetForward(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_PromptNetForward);
+
+// The same forward as eval runs it, under a NoGradGuard: no node records
+// parents or a backward closure, and each activation dies with its last
+// reader instead of living on the tape until the logits do.
+static void BM_PromptNetEval(benchmark::State& state) {
+  Rng rng(3);
+  reffil::nn::PromptNetConfig config;
+  reffil::nn::PromptNet net(config, rng);
+  const T::Tensor image = T::randn({1, 16, 16}, rng);
+  const AG::NoGradGuard no_grad;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(net.forward(image).logits->value());
+  }
+}
+BENCHMARK(BM_PromptNetEval);
+
+// One RefFiL test image through MethodBase::predict (guarded eval_logits +
+// argmax) with range(0) learned tasks. The default ensemble policy runs the
+// CDAP generator and the attention block once per learned task.
+static void BM_RefFiLPredict(benchmark::State& state) {
+  const auto learned = static_cast<std::size_t>(state.range(0));
+  reffil::cl::MethodConfig config;
+  config.parallelism = 1;
+  reffil::core::RefFiLMethod method(config);
+  method.on_task_start(learned - 1);
+  method.prepare_eval();
+  Rng rng(13);
+  const T::Tensor image = T::randn({1, 16, 16}, rng);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(method.predict(0, image));
+  }
+}
+BENCHMARK(BM_RefFiLPredict)->Arg(1)->Arg(5);
 
 static void BM_PromptNetTrainStep(benchmark::State& state) {
   Rng rng(4);

@@ -6,17 +6,19 @@
 // (tensor/pool.hpp) instead of allocated, and hot loops walk raw pointers
 // rather than the bounds-checked Tensor::at().
 //
-// Forward passes allocate the node's value, build the node, then write the
-// value in place with the *_into kernels. Forward intermediates that backward
-// also needs (softmax probabilities, layer-norm statistics)
-// live in aux buffers shared with the backward closure. Closures that read
-// the node's own value capture it as a raw Node*: capturing the Var would be
-// an ownership cycle.
+// Forward passes allocate the node's value, build the node with make_node,
+// then write the value in place with the *_into kernels. Forward
+// intermediates that backward also needs (softmax probabilities, layer-norm
+// statistics) live in aux buffers shared with the backward closure, and are
+// made only when the node records (records(parents)): under a NoGradGuard
+// the op computes its value and keeps nothing. Closures that read the node's
+// own value take it as make_node's `self` argument.
 #include "reffil/autograd/ops.hpp"
 
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <memory>
 
 #include "reffil/tensor/kernels_dispatch.hpp"
 #include "reffil/tensor/ops.hpp"
@@ -129,51 +131,45 @@ Var relu(const Var& a) {
 }
 
 Var tanh(const Var& a) {
-  Var out = make_node(T::Tensor(a->value().shape()), {a}, {}, "ag.tanh");
-  if (out->requires_grad()) {
-    // Reads y from the node's own value instead of keeping a copy.
-    out->set_backward([a, self = out.get()](const T::Tensor& g) {
-      T::pool::Scratch dx(g.shape(), /*zero=*/false);
-      const float* py = self->value().begin();
-      const float* pg = g.begin();
-      float* d = dx->begin();
-      for (std::size_t i = 0; i < g.numel(); ++i) {
-        d[i] = pg[i] * (1.0f - py[i] * py[i]);
-      }
-      a->accumulate_grad(*dx);
-    });
-  }
+  // Reads y from the node's own value instead of keeping a copy.
+  Var out = make_node(T::Tensor(a->value().shape()), {a},
+                      [a](const T::Tensor& g, const Node& self) {
+                        T::pool::Scratch dx(g.shape(), /*zero=*/false);
+                        const float* py = self.value().begin();
+                        const float* pg = g.begin();
+                        float* d = dx->begin();
+                        for (std::size_t i = 0; i < g.numel(); ++i) {
+                          d[i] = pg[i] * (1.0f - py[i] * py[i]);
+                        }
+                        a->accumulate_grad(*dx);
+                      }, "ag.tanh");
   T::tanh_into(a->value(), out->mutable_value());
   return out;
 }
 
 Var sigmoid(const Var& a) {
-  Var out = make_node(T::Tensor(a->value().shape()), {a}, {}, "ag.sigmoid");
-  if (out->requires_grad()) {
-    out->set_backward([a, self = out.get()](const T::Tensor& g) {
-      T::pool::Scratch dx(g.shape(), /*zero=*/false);
-      const float* py = self->value().begin();
-      const float* pg = g.begin();
-      float* d = dx->begin();
-      for (std::size_t i = 0; i < g.numel(); ++i) {
-        d[i] = pg[i] * (py[i] * (1.0f - py[i]));
-      }
-      a->accumulate_grad(*dx);
-    });
-  }
+  Var out = make_node(T::Tensor(a->value().shape()), {a},
+                      [a](const T::Tensor& g, const Node& self) {
+                        T::pool::Scratch dx(g.shape(), /*zero=*/false);
+                        const float* py = self.value().begin();
+                        const float* pg = g.begin();
+                        float* d = dx->begin();
+                        for (std::size_t i = 0; i < g.numel(); ++i) {
+                          d[i] = pg[i] * (py[i] * (1.0f - py[i]));
+                        }
+                        a->accumulate_grad(*dx);
+                      }, "ag.sigmoid");
   T::sigmoid_into(a->value(), out->mutable_value());
   return out;
 }
 
 Var exp(const Var& a) {
-  Var out = make_node(T::Tensor(a->value().shape()), {a}, {}, "ag.exp");
-  if (out->requires_grad()) {
-    out->set_backward([a, self = out.get()](const T::Tensor& g) {
-      T::pool::Scratch dx(g.shape(), /*zero=*/false);
-      T::mul_into(g, self->value(), *dx);
-      a->accumulate_grad(*dx);
-    });
-  }
+  Var out = make_node(T::Tensor(a->value().shape()), {a},
+                      [a](const T::Tensor& g, const Node& self) {
+                        T::pool::Scratch dx(g.shape(), /*zero=*/false);
+                        T::mul_into(g, self.value(), *dx);
+                        a->accumulate_grad(*dx);
+                      }, "ag.exp");
   T::exp_into(a->value(), out->mutable_value());
   return out;
 }
@@ -557,9 +553,13 @@ Var layer_norm(const Var& x, const Var& gain, const Var& bias, float eps) {
   }
   prof::OpSpan ps("ag.layer_norm");
   // Per-row inv-std and normalized values, needed again by backward: aux
-  // buffers filled by the forward pass below.
-  auto xhat = std::make_shared<T::Tensor>(T::Shape{m, n});
-  auto inv_std = std::make_shared<std::vector<float>>(m);
+  // buffers filled by the forward pass below, kept only if the node records.
+  std::shared_ptr<T::Tensor> xhat;
+  std::shared_ptr<std::vector<float>> inv_std;
+  if (records({x, gain, bias})) {
+    xhat = std::make_shared<T::Tensor>(T::Shape{m, n});
+    inv_std = std::make_shared<std::vector<float>>(m);
+  }
   Var out = make_node(T::Tensor({m, n}), {x, gain, bias},
                       [x, gain, bias, xhat, inv_std, m, n](const T::Tensor& g) {
                         const float* pg = g.begin();
@@ -607,7 +607,7 @@ Var layer_norm(const Var& x, const Var& gain, const Var& bias, float eps) {
                       ps.name(), ps.corr());
   const float* pgain = gain->value().begin();
   const float* pbias = bias->value().begin();
-  float* ph = xhat->begin();
+  float* ph = xhat ? xhat->begin() : nullptr;
   float* pv = out->mutable_value().begin();
   for (std::size_t i = 0; i < m; ++i) {
     const float* src = x->value().begin() + i * n;
@@ -621,10 +621,10 @@ Var layer_norm(const Var& x, const Var& gain, const Var& bias, float eps) {
     }
     var /= static_cast<double>(n);
     const float istd = static_cast<float>(1.0 / std::sqrt(var + eps));
-    (*inv_std)[i] = istd;
+    if (inv_std) (*inv_std)[i] = istd;
     for (std::size_t j = 0; j < n; ++j) {
       const float h = (src[j] - static_cast<float>(mean)) * istd;
-      ph[i * n + j] = h;
+      if (ph) ph[i * n + j] = h;
       pv[i * n + j] = h * pgain[j] + pbias[j];
     }
   }
@@ -635,28 +635,28 @@ Var softmax_rows(const Var& logits) {
   require_rank2(logits, "softmax_rows");
   prof::OpSpan op("ag.softmax_rows");
   const std::size_t m = logits->value().dim(0), n = logits->value().dim(1);
-  Var out = make_node(T::Tensor({m, n}), {logits}, {}, op.name(), op.corr());
-  if (out->requires_grad()) {
-    // s is the node's own value.
-    out->set_backward([logits, self = out.get(), m, n](const T::Tensor& g) {
-      // dx_ij = s_ij * (g_ij - sum_k g_ik * s_ik)
-      T::pool::Scratch dx({m, n}, /*zero=*/false);
-      const float* pg = g.begin();
-      const float* ps = self->value().begin();
-      float* d = dx->begin();
-      for (std::size_t i = 0; i < m; ++i) {
-        double row_dot = 0.0;
-        for (std::size_t j = 0; j < n; ++j) {
-          row_dot += double(pg[i * n + j]) * ps[i * n + j];
+  // s is the node's own value.
+  Var out = make_node(
+      T::Tensor({m, n}), {logits},
+      [logits, m, n](const T::Tensor& g, const Node& self) {
+        // dx_ij = s_ij * (g_ij - sum_k g_ik * s_ik)
+        T::pool::Scratch dx({m, n}, /*zero=*/false);
+        const float* pg = g.begin();
+        const float* ps = self.value().begin();
+        float* d = dx->begin();
+        for (std::size_t i = 0; i < m; ++i) {
+          double row_dot = 0.0;
+          for (std::size_t j = 0; j < n; ++j) {
+            row_dot += double(pg[i * n + j]) * ps[i * n + j];
+          }
+          for (std::size_t j = 0; j < n; ++j) {
+            d[i * n + j] = static_cast<float>(
+                ps[i * n + j] * (double(pg[i * n + j]) - row_dot));
+          }
         }
-        for (std::size_t j = 0; j < n; ++j) {
-          d[i * n + j] = static_cast<float>(
-              ps[i * n + j] * (double(pg[i * n + j]) - row_dot));
-        }
-      }
-      logits->accumulate_grad(*dx);
-    });
-  }
+        logits->accumulate_grad(*dx);
+      },
+      op.name(), op.corr());
   T::softmax_rows_into(logits->value(), out->mutable_value());
   return out;
 }
@@ -668,8 +668,12 @@ Var cross_entropy_logits(const Var& logits, const std::vector<std::size_t>& labe
   for (std::size_t label : labels) REFFIL_CHECK_MSG(label < k, "label out of range");
 
   prof::OpSpan ps("ag.cross_entropy");
-  // Softmax probabilities feed backward; the forward pass below fills them.
-  auto probs = std::make_shared<T::pool::Scratch>(T::Shape{m, k}, /*zero=*/false);
+  // Softmax probabilities feed backward; the forward pass below fills them
+  // when the node records.
+  std::shared_ptr<T::pool::Scratch> probs;
+  if (records({logits})) {
+    probs = std::make_shared<T::pool::Scratch>(T::Shape{m, k}, /*zero=*/false);
+  }
   Var out = make_node(T::Tensor::scalar(0.0f), {logits},
                       [logits, probs, labels, m, k](const T::Tensor& g) {
                         const float scale = g.item() / static_cast<float>(m);
@@ -690,7 +694,7 @@ Var cross_entropy_logits(const Var& logits, const std::vector<std::size_t>& labe
   double loss = 0.0;
   for (std::size_t i = 0; i < m; ++i) loss -= plp[i * k + labels[i]];
   loss /= static_cast<double>(m);
-  T::softmax_rows_into(logits->value(), probs->tensor());
+  if (probs) T::softmax_rows_into(logits->value(), probs->tensor());
   out->mutable_value().begin()[0] = static_cast<float>(loss);
   return out;
 }
@@ -707,9 +711,14 @@ Var distillation_loss(const Var& student_logits, const tensor::Tensor& teacher_p
 
   prof::OpSpan ps("ag.distill");
   // One shared copy of the teacher distribution (it is a constant) plus the
-  // student softmax q, which backward reads and the forward pass fills.
-  auto teacher = std::make_shared<T::Tensor>(teacher_probs);
-  auto q = std::make_shared<T::pool::Scratch>(T::Shape{m, k}, /*zero=*/false);
+  // student softmax q, which backward reads and the forward pass fills. Both
+  // are kept only when the node records.
+  std::shared_ptr<const T::Tensor> teacher;
+  std::shared_ptr<T::pool::Scratch> q;
+  if (records({student_logits})) {
+    teacher = std::make_shared<const T::Tensor>(teacher_probs);
+    q = std::make_shared<T::pool::Scratch>(T::Shape{m, k}, /*zero=*/false);
+  }
   Var out = make_node(T::Tensor::scalar(0.0f), {student_logits},
                       [student_logits, q, teacher, temperature, m](const T::Tensor& g) {
                         // d/dz = (q - p) / (m * T)
@@ -730,12 +739,12 @@ Var distillation_loss(const Var& student_logits, const tensor::Tensor& teacher_p
   T::pool::Scratch log_q({m, k}, /*zero=*/false);
   T::log_softmax_rows_into(*scaled, *log_q);
   // loss = -(1/m) * sum_ij p_ij log q_ij (constant teacher-entropy term dropped)
-  const float* pp = teacher->begin();
+  const float* pp = teacher_probs.begin();
   const float* plq = log_q->begin();
   double loss = 0.0;
   for (std::size_t i = 0; i < m * k; ++i) loss -= double(pp[i]) * plq[i];
   loss /= static_cast<double>(m);
-  T::softmax_rows_into(*scaled, q->tensor());
+  if (q) T::softmax_rows_into(*scaled, q->tensor());
   out->mutable_value().begin()[0] = static_cast<float>(loss);
   return out;
 }
@@ -745,8 +754,9 @@ Var cosine_similarity(const Var& a, const Var& b) {
                    "cosine_similarity: size mismatch");
   prof::OpSpan ps("ag.cosine");
   // aux = {cos, norm_a, norm_b}: backward needs all three, and the forward
-  // pass below computes them.
-  auto aux = std::make_shared<std::array<double, 3>>();
+  // pass below computes them. Kept only when the node records.
+  std::shared_ptr<std::array<double, 3>> aux;
+  if (records({a, b})) aux = std::make_shared<std::array<double, 3>>();
   Var out = make_node(
       T::Tensor::scalar(0.0f), {a, b},
       [a, b, aux](const T::Tensor& g) {
@@ -789,9 +799,7 @@ Var cosine_similarity(const Var& a, const Var& b) {
   const double norm_a = std::sqrt(na2) + eps;
   const double norm_b = std::sqrt(nb2) + eps;
   const double cos = num / (norm_a * norm_b);
-  (*aux)[0] = cos;
-  (*aux)[1] = norm_a;
-  (*aux)[2] = norm_b;
+  if (aux) *aux = {cos, norm_a, norm_b};
   out->mutable_value().begin()[0] = static_cast<float>(cos);
   return out;
 }

@@ -40,19 +40,15 @@ Var parameter(tensor::Tensor value) {
   return node;
 }
 
-Var make_node(tensor::Tensor value, std::vector<Var> parents,
-              std::function<void(const tensor::Tensor&)> backward_fn,
-              const char* op_name, std::uint64_t corr) {
-  bool needs_grad = false;
-  for (const auto& p : parents) needs_grad = needs_grad || p->requires_grad();
-  auto node = std::make_shared<Node>(std::move(value), needs_grad);
-  if (needs_grad) {
-    node->set_parents(std::move(parents));
-    node->set_backward(std::move(backward_fn));
-    node->set_op(op_name, corr);
-  }
-  return node;
-}
+namespace {
+thread_local bool t_grad_enabled = true;
+}  // namespace
+
+bool grad_enabled() { return t_grad_enabled; }
+
+NoGradGuard::NoGradGuard() : prev_(t_grad_enabled) { t_grad_enabled = false; }
+
+NoGradGuard::~NoGradGuard() { t_grad_enabled = prev_; }
 
 namespace {
 // Iterative post-order DFS producing a topological order (parents before
@@ -85,6 +81,11 @@ void backward(const Var& root) {
   REFFIL_CHECK_MSG(root != nullptr, "backward on null Var");
   REFFIL_CHECK_MSG(root->value().numel() == 1,
                    "backward requires a scalar (single-element) root");
+  if (!grad_enabled()) {
+    throw Error(
+        "backward() called while a NoGradGuard is active on this thread: the "
+        "guarded forward recorded no tape, so the sweep would do nothing");
+  }
   if (!root->requires_grad()) return;
   if (root->swept()) {
     throw Error(

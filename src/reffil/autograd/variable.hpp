@@ -9,12 +9,21 @@
 // The engine is deliberately scalar-loss oriented: backward() requires the
 // root to be a single-element tensor (a loss), which is all the training
 // stack needs and keeps the seeding rule unambiguous.
+//
+// Grad mode is per thread. While a NoGradGuard is live on a thread, every
+// node that thread builds is a constant: it records no parents and no
+// backward closure, so a forward whose gradient is never taken (eval, a
+// frozen teacher, a prompt query) keeps no tape and frees each activation as
+// soon as its last reader drops it.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
 #include <functional>
+#include <initializer_list>
 #include <memory>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "reffil/tensor/tensor.hpp"
@@ -23,6 +32,12 @@ namespace reffil::autograd {
 
 class Node;
 using Var = std::shared_ptr<Node>;
+
+// Defined (and documented) at the bottom of this header.
+template <typename Backward>
+Var make_node(tensor::Tensor value, std::initializer_list<Var> parents,
+              Backward&& backward_fn, const char* op_name = "ag.op",
+              std::uint64_t corr = 0);
 
 class Node {
  public:
@@ -59,15 +74,11 @@ class Node {
   bool swept() const { return swept_; }
   void mark_swept() { swept_ = true; }
 
-  // --- graph wiring (used by the op library) ---------------------------------
-  void set_parents(std::vector<Var> parents) { parents_ = std::move(parents); }
+  // --- graph wiring (written only by make_node) -------------------------------
   const std::vector<Var>& parents() const { return parents_; }
 
-  /// backward_fn(out_grad) must add this node's contribution into each
-  /// parent via parent->accumulate_grad(...).
-  void set_backward(std::function<void(const tensor::Tensor&)> fn) {
-    backward_fn_ = std::move(fn);
-  }
+  /// backward_fn(out_grad) adds this node's contribution into each parent
+  /// via parent->accumulate_grad(...). Empty on a node that does not record.
   const std::function<void(const tensor::Tensor&)>& backward_fn() const {
     return backward_fn_;
   }
@@ -76,14 +87,15 @@ class Node {
   /// string name and the correlation id its OpSpan minted (0 = unprofiled).
   /// The backward sweep emits a bw: span with the same id so the closure's
   /// cost attributes to this op.
-  void set_op(const char* name, std::uint64_t corr) {
-    op_name_ = name;
-    corr_ = corr;
-  }
   const char* op_name() const { return op_name_; }
   std::uint64_t corr() const { return corr_; }
 
  private:
+  template <typename Backward>
+  friend Var make_node(tensor::Tensor value, std::initializer_list<Var> parents,
+                       Backward&& backward_fn, const char* op_name,
+                       std::uint64_t corr);
+
   tensor::Tensor value_;
   tensor::Tensor grad_;  // empty-shape scalar until first accumulation
   bool grad_initialized_ = false;
@@ -105,14 +117,68 @@ Var parameter(tensor::Tensor value);
 /// call zero_grad on parameters between steps (the optimizer does this).
 /// Throws util::Error if called twice on the same root: the second sweep
 /// would re-seed the root with ones and double-accumulate every gradient.
+/// Also throws while a NoGradGuard is live on the calling thread: a train
+/// step taken there would otherwise sweep a constant root and do nothing.
+/// Outside a guard, a root that does not require grad is a no-op.
 void backward(const Var& root);
 
-/// Helper used by ops: create an interior node whose requires_grad is the OR
-/// of its parents'. `op_name` must have static storage duration (it is the
-/// profiler label for the backward span); `corr` ties the backward span to
-/// the forward OpSpan that minted it.
-Var make_node(tensor::Tensor value, std::vector<Var> parents,
-              std::function<void(const tensor::Tensor&)> backward_fn,
-              const char* op_name = "ag.op", std::uint64_t corr = 0);
+/// True unless a NoGradGuard is live on the calling thread.
+bool grad_enabled();
+
+/// RAII grad mode, like torch.no_grad: while alive, nodes built on this
+/// thread record nothing. Guards nest; each restores the mode it found, also
+/// when it is left by an exception. Other threads are unaffected.
+class NoGradGuard {
+ public:
+  NoGradGuard();
+  ~NoGradGuard();
+  NoGradGuard(const NoGradGuard&) = delete;
+  NoGradGuard& operator=(const NoGradGuard&) = delete;
+
+ private:
+  bool prev_;
+};
+
+/// True when a node over `parents` records its parents and backward closure:
+/// grad mode is on and some parent requires grad. Ops with forward state
+/// that only backward reads skip that state when this is false.
+inline bool records(std::initializer_list<Var> parents) {
+  if (!grad_enabled()) return false;
+  for (const Var& p : parents) {
+    if (p->requires_grad()) return true;
+  }
+  return false;
+}
+
+/// The one node builder used by ops: an interior node whose requires_grad is
+/// records(parents). Only a recording node copies the parents and wraps the
+/// closure in a std::function; otherwise both are dropped here. The closure
+/// takes (grad) or, when it reads the node's own value, (grad, self).
+/// `op_name` must have static storage duration (it is the profiler label for
+/// the backward span); `corr` ties the backward span to the forward OpSpan
+/// that minted it.
+template <typename Backward>
+Var make_node(tensor::Tensor value, std::initializer_list<Var> parents,
+              Backward&& backward_fn, const char* op_name, std::uint64_t corr) {
+  const bool rec = records(parents);
+  auto node = std::make_shared<Node>(std::move(value), rec);
+  if (rec) {
+    node->parents_.assign(parents.begin(), parents.end());
+    using Fn = std::decay_t<Backward>;
+    if constexpr (std::is_invocable_v<Fn&, const tensor::Tensor&, const Node&>) {
+      // The closure reads the node's own value: hand it a raw pointer, since
+      // capturing the Var would be an ownership cycle.
+      node->backward_fn_ = [fn = Fn(std::forward<Backward>(backward_fn)),
+                            self = node.get()](const tensor::Tensor& g) {
+        fn(g, *self);
+      };
+    } else {
+      node->backward_fn_ = std::forward<Backward>(backward_fn);
+    }
+    node->op_name_ = op_name;
+    node->corr_ = corr;
+  }
+  return node;
+}
 
 }  // namespace reffil::autograd

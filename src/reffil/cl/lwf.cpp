@@ -53,11 +53,15 @@ AG::Var LwfMethod::batch_loss(Replica& rep,
     AG::Var loss = AG::cross_entropy_logits(out.logits, {batch[i].sample->label});
     if (teachers_[slot].loaded) {
       // Teacher probabilities are treated as constants; only the student's
-      // graph receives gradients.
-      const auto teacher_out =
-          teachers_[slot].net->forward(batch[i].sample->image);
-      const T::Tensor teacher_probs = T::softmax_rows(T::mul_scalar(
-          teacher_out.logits->value(), 1.0f / lwf_.temperature));
+      // graph receives gradients, so the teacher forward keeps no tape.
+      T::Tensor teacher_probs;
+      {
+        const AG::NoGradGuard no_grad;
+        const auto teacher_out =
+            teachers_[slot].net->forward(batch[i].sample->image);
+        teacher_probs = T::softmax_rows(T::mul_scalar(
+            teacher_out.logits->value(), 1.0f / lwf_.temperature));
+      }
       loss = AG::add(loss, AG::mul_scalar(AG::distillation_loss(
                                               out.logits, teacher_probs,
                                               lwf_.temperature),

@@ -423,6 +423,7 @@ void MethodBase::prepare_eval() {
 
 std::size_t MethodBase::predict(std::size_t worker_slot,
                                 const tensor::Tensor& image) {
+  const AG::NoGradGuard no_grad;  // eval never takes a gradient
   AG::Var logits = eval_logits(replica(worker_slot), image, worker_slot);
   return T::argmax_rows(logits->value()).front();
 }
@@ -432,6 +433,7 @@ tensor::Tensor MethodBase::eval_feature(std::size_t worker_slot,
   // The post-attention class token under the plain (prompt-free) forward —
   // a method-agnostic embedding, so Figure 5/6 comparisons are apples to
   // apples across methods.
+  const AG::NoGradGuard no_grad;
   const auto out = replica(worker_slot).net.forward(image);
   return out.cls->value().reshaped({out.cls->value().numel()});
 }

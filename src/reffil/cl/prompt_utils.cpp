@@ -12,6 +12,7 @@ namespace AG = reffil::autograd;
 namespace T = reffil::tensor;
 
 tensor::Tensor prompt_query(const nn::PromptNet& net, const tensor::Tensor& image) {
+  const AG::NoGradGuard no_grad;  // the query is detached: only its value is used
   const AG::Var tokens = net.tokenize(image);  // [n+1, d], row 0 is [CLS]
   const std::size_t rows = tokens->value().dim(0);
   const T::Tensor patches = T::slice_rows(tokens->value(), 1, rows);

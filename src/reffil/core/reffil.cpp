@@ -262,6 +262,7 @@ void RefFiLMethod::write_update_extras(util::ByteWriter& writer,
   const auto view = local_view(job);
   const std::size_t budget = std::min(view.size(), reffil_.lpg_sample_budget);
   const std::size_t d = config_.net.token_dim;
+  const AG::NoGradGuard no_grad;  // the prompts are uploaded as values only
   for (std::size_t i = 0; i < budget; ++i) {
     const data::Sample& sample = *view[i].sample;
     T::Tensor prompt_vec;

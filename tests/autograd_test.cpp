@@ -5,13 +5,21 @@
 // gradient from backward() is compared against central differences.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
+#include <cstring>
 #include <functional>
+#include <memory>
+#include <stdexcept>
 
 #include "reffil/autograd/ops.hpp"
 #include "reffil/autograd/variable.hpp"
+#include "reffil/core/cdap.hpp"
+#include "reffil/nn/backbone.hpp"
 #include "reffil/tensor/ops.hpp"
+#include "reffil/tensor/pool.hpp"
 #include "reffil/util/rng.hpp"
+#include "reffil/util/thread_pool.hpp"
 
 namespace AG = reffil::autograd;
 namespace T = reffil::tensor;
@@ -418,4 +426,197 @@ TEST(Autograd, TinyMlpLearnsLinearlySeparableData) {
   }
   EXPECT_LT(last_loss, 0.1f);
   EXPECT_LT(last_loss, first_loss * 0.2f);
+}
+
+// ---- grad mode (NoGradGuard) ----------------------------------------------------
+
+namespace {
+
+bool bitwise_equal(const T::Tensor& a, const T::Tensor& b) {
+  return a.shape() == b.shape() &&
+         std::memcmp(a.begin(), b.begin(), a.numel() * sizeof(float)) == 0;
+}
+
+reffil::nn::PromptNet make_net(std::uint64_t seed = 7) {
+  reffil::nn::PromptNetConfig config;
+  config.num_classes = 4;
+  reffil::util::Rng rng(seed);
+  return reffil::nn::PromptNet(config, rng);
+}
+
+}  // namespace
+
+TEST(NoGrad, GuardedForwardMatchesGradModeBitwise) {
+  const auto net = make_net();
+  reffil::util::Rng data_rng(5);
+  const T::Tensor image = T::randn({1, 16, 16}, data_rng);
+  reffil::core::CdapConfig cdap_config;
+  reffil::util::Rng cdap_rng(9);
+  const reffil::core::CdapGenerator cdap(cdap_config, cdap_rng);
+  const AG::Var tokens =
+      AG::constant(T::randn({cdap_config.num_tokens, cdap_config.token_dim}, data_rng));
+
+  const auto graded = net.forward(image);
+  const AG::Var graded_prompt = cdap.generate(tokens, 2);
+  ASSERT_TRUE(graded.logits->requires_grad());
+  ASSERT_TRUE(graded_prompt->requires_grad());
+
+  const AG::NoGradGuard no_grad;
+  const auto guarded = net.forward(image);
+  EXPECT_TRUE(bitwise_equal(guarded.logits->value(), graded.logits->value()));
+  EXPECT_TRUE(bitwise_equal(guarded.cls->value(), graded.cls->value()));
+  EXPECT_TRUE(bitwise_equal(guarded.tokens->value(), graded.tokens->value()));
+  EXPECT_TRUE(bitwise_equal(cdap.generate(tokens, 2)->value(), graded_prompt->value()));
+}
+
+TEST(NoGrad, GuardedResultOverParametersRecordsNothing) {
+  const auto net = make_net();
+  reffil::util::Rng data_rng(5);
+  const T::Tensor image = T::randn({1, 16, 16}, data_rng);
+  const AG::NoGradGuard no_grad;
+  EXPECT_FALSE(AG::grad_enabled());
+  const auto out = net.forward(image);
+  for (const AG::Var& v : {out.logits, out.cls, out.tokens}) {
+    EXPECT_FALSE(v->requires_grad());
+    EXPECT_TRUE(v->parents().empty());
+    EXPECT_FALSE(v->backward_fn());
+  }
+  // Ops with forward state only backward reads skip it too: the loss
+  // still has the right value, and nothing is recorded.
+  auto p = AG::parameter(T::Tensor::vector({1, 2, 3}));
+  const AG::Var ce = AG::cross_entropy_logits(AG::reshape(p, {1, 3}), {2});
+  EXPECT_FALSE(ce->requires_grad());
+  EXPECT_TRUE(ce->parents().empty());
+  EXPECT_FALSE(AG::cosine_similarity(p, p)->requires_grad());
+}
+
+TEST(NoGrad, GuardedIntermediateDiesWithItsLastReader) {
+  const auto net = make_net();
+  reffil::util::Rng data_rng(5);
+  const T::Tensor image = T::randn({1, 16, 16}, data_rng);
+  const auto held_logits = [&](std::weak_ptr<AG::Node>& cls) {
+    auto out = net.forward(image);
+    cls = out.cls;
+    return out.logits;
+  };
+  {
+    const AG::NoGradGuard no_grad;
+    std::weak_ptr<AG::Node> cls;
+    const AG::Var logits = held_logits(cls);
+    EXPECT_TRUE(cls.expired()) << "a guarded logits node keeps its input alive";
+  }
+  // In grad mode the tape from logits back to the class token keeps it.
+  std::weak_ptr<AG::Node> cls;
+  const AG::Var logits = held_logits(cls);
+  EXPECT_FALSE(cls.expired());
+}
+
+TEST(NoGrad, GuardedLossKeepsNoSavedState) {
+  // cross_entropy_logits keeps its softmax probabilities in a pooled buffer
+  // for backward. A guarded loss never borrows it, and holds no pooled
+  // buffer while it lives: the calling thread's free lists hold exactly what
+  // they held before.
+  namespace pool = T::pool;
+  const auto borrows = [] {
+    const pool::ThreadStats s = pool::thread_stats();
+    return s.hits + s.misses;
+  };
+  auto p = AG::parameter(T::Tensor::vector({0.5f, -1, 2, 0}));
+  const auto loss = [&] { return AG::cross_entropy_logits(AG::reshape(p, {1, 4}), {1}); };
+  loss();  // fault the [1,4] bucket in
+  const std::size_t before = pool::thread_stats().retained_bytes;
+  ASSERT_GT(before, 0u);
+  std::uint64_t start = borrows();
+  {
+    const AG::Var graded = loss();
+    EXPECT_LT(pool::thread_stats().retained_bytes, before);
+  }
+  const std::uint64_t graded_borrows = borrows() - start;
+  const AG::NoGradGuard no_grad;
+  start = borrows();
+  const AG::Var guarded = loss();
+  EXPECT_EQ(borrows() - start + 1, graded_borrows);
+  EXPECT_EQ(pool::thread_stats().retained_bytes, before);
+}
+
+TEST(NoGrad, NestedGuardsRestoreTheOuterMode) {
+  EXPECT_TRUE(AG::grad_enabled());
+  {
+    const AG::NoGradGuard outer;
+    EXPECT_FALSE(AG::grad_enabled());
+    {
+      const AG::NoGradGuard inner;
+      EXPECT_FALSE(AG::grad_enabled());
+    }
+    EXPECT_FALSE(AG::grad_enabled()) << "the inner guard re-enabled grad mode";
+  }
+  EXPECT_TRUE(AG::grad_enabled());
+  try {
+    const AG::NoGradGuard no_grad;
+    throw std::runtime_error("leave the guard by an exception");
+  } catch (const std::runtime_error&) {
+  }
+  EXPECT_TRUE(AG::grad_enabled());
+  auto p = AG::parameter(T::Tensor::vector({1}));
+  EXPECT_TRUE(AG::mul_scalar(p, 2.0f)->requires_grad());
+}
+
+TEST(NoGrad, BackwardInsideAGuardThrows) {
+  auto p = AG::parameter(T::Tensor::vector({1, 2}));
+  const AG::Var loss = AG::sum_all(AG::mul_scalar(p, 3.0f));
+  {
+    const AG::NoGradGuard no_grad;
+    // Neither a root built in grad mode nor a guarded (constant) root may
+    // be swept here: the guarded one would make a training step a no-op.
+    EXPECT_THROW(AG::backward(loss), reffil::Error);
+    EXPECT_THROW(AG::backward(AG::sum_all(p)), reffil::Error);
+  }
+  EXPECT_TRUE(p->grad().all_close(T::Tensor::vector({0, 0})));
+  // Outside a guard the rejected root still sweeps, and a constant root is
+  // a no-op as before.
+  AG::backward(loss);
+  EXPECT_TRUE(p->grad().all_close(T::Tensor::vector({3, 3})));
+  EXPECT_NO_THROW(AG::backward(AG::sum_all(AG::constant(T::Tensor::vector({1})))));
+}
+
+TEST(NoGrad, GuardOnOneThreadLeavesAnotherThreadsTapeIntact) {
+  // Half the tasks run guarded eval forwards while the other half train;
+  // grad mode is per thread, so every training task must see grad mode on
+  // and reproduce the serial gradient bitwise.
+  reffil::util::Rng data_rng(5);
+  const T::Tensor image = T::randn({1, 16, 16}, data_rng);
+  const auto train_grads = [&] {
+    auto net = make_net();
+    AG::backward(AG::cross_entropy_logits(net.forward(image).logits, {1}));
+    std::vector<T::Tensor> grads;
+    for (const AG::Var& p : net.parameters()) grads.push_back(p->grad());
+    return grads;
+  };
+  const std::vector<T::Tensor> reference = train_grads();
+  const auto eval_net = make_net();
+  const T::Tensor eval_reference = eval_net.forward(image).logits->value();
+
+  auto& tp = reffil::util::global_thread_pool();
+  const std::size_t tasks = std::max<std::size_t>(8, tp.size() * 4);
+  std::atomic<int> failures{0};
+  tp.parallel_for(tasks, [&](std::size_t t) {
+    for (int round = 0; round < 3; ++round) {
+      if (t % 2 == 0) {
+        const AG::NoGradGuard no_grad;
+        const auto out = eval_net.forward(image);
+        if (out.logits->requires_grad() ||
+            !bitwise_equal(out.logits->value(), eval_reference)) {
+          failures.fetch_add(1);
+        }
+      } else {
+        if (!AG::grad_enabled()) failures.fetch_add(1);
+        const std::vector<T::Tensor> grads = train_grads();
+        for (std::size_t i = 0; i < grads.size(); ++i) {
+          if (!bitwise_equal(grads[i], reference[i])) failures.fetch_add(1);
+        }
+      }
+    }
+  });
+  EXPECT_EQ(failures.load(), 0);
+  EXPECT_TRUE(AG::grad_enabled());
 }
