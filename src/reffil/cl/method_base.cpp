@@ -198,7 +198,6 @@ std::vector<MethodBase::TaggedSample> MethodBase::local_view(
 
 fed::ClientUpdate MethodBase::train_client(
     const std::vector<std::uint8_t>& broadcast, const fed::TrainJob& job) {
-  obs::ScopedTimer timer("cl.train_client_seconds");
   Replica& rep = replica(job.worker_slot);
 
   util::ByteReader reader(broadcast);

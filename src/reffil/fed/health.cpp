@@ -47,18 +47,23 @@ MonitorConfig MonitorConfig::parse(const std::string& spec) {
       throw ConfigError("monitor spec value '" + raw + "' for key '" + key +
                         "' is not a number");
     }
+    // A NaN threshold would silently disable its detector (every comparison
+    // is false), so only finite values are accepted.
+    if (!std::isfinite(value)) {
+      throw ConfigError("monitor spec value '" + raw + "' for key '" + key +
+                        "' is not finite");
+    }
+    // A count must be a whole number that a size_t holds; a plain cast
+    // would truncate 2.5 to 2 and is undefined for 1e30.
     const auto as_size = [&](const char* name) {
-      if (value < 0.0) {
-        throw ConfigError(std::string("monitor ") + name +
-                          " must be non-negative");
+      constexpr double kSizeLimit = 18446744073709551616.0;  // 2^64
+      if (value < 0.0 || value != std::floor(value) || value >= kSizeLimit) {
+        throw ConfigError("monitor spec value '" + raw + "' for " + name +
+                          " is not a non-negative whole number in range");
       }
       return static_cast<std::size_t>(value);
     };
-    if (key == "capacity" || key == "timeseries_capacity") {
-      config.timeseries_capacity = as_size("capacity");
-    } else if (key == "interval" || key == "wallclock_interval") {
-      config.wallclock_interval_s = value;
-    } else if (key == "norm_z") {
+    if (key == "norm_z") {
       config.norm_z = value;
     } else if (key == "norm_window") {
       config.norm_window = as_size("norm_window");
@@ -369,10 +374,7 @@ ProgressSnapshot ProgressBoard::get() const {
 // ---- RunMonitor ------------------------------------------------------------
 
 RunMonitor::RunMonitor(MonitorConfig config)
-    : config_(config),
-      timeseries_(config.timeseries_capacity),
-      health_(config),
-      start_(std::chrono::steady_clock::now()) {}
+    : health_(std::move(config)), start_(std::chrono::steady_clock::now()) {}
 
 void RunMonitor::on_run_start(const std::string& method,
                               const std::string& dataset,
@@ -399,33 +401,13 @@ void RunMonitor::on_round(const RunResult& result, const RoundStats& round,
   o.round = round.round;
   o.global_round = global_round;
   o.selected = round.selected;
-  o.dropped = round.dropped;
   o.quarantined = round.quarantined;
-  o.timed_out = round.timed_out;
-  o.accepted = round.selected >= round.dropped + round.quarantined
-                   ? round.selected - round.dropped - round.quarantined
-                   : 0;
   o.round_seconds = round.train_seconds + round.aggregate_seconds;
-  o.sim_time_s = sim_time_s;
   o.norm_count = norms.count;
   o.norm_mean = norms.mean;
-  o.norm_m2 = norms.m2;
   health_.observe_round(o);
 
-  timeseries_.sample(sim_time_s, global_round);
-  refresh_board(result, &round, sim_time_s);
-}
-
-void RunMonitor::on_wave(double sim_time_s, std::uint64_t global_round) {
-  // The cadence counts from the run start, so the first round's waves do not
-  // sample just because no sample exists yet: a fast run takes exactly one
-  // sample per round commit plus the closing one, however many waves it has.
-  const double since_start =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start_)
-          .count();
-  if (since_start < config_.wallclock_interval_s) return;
-  timeseries_.maybe_sample(config_.wallclock_interval_s, sim_time_s,
-                           global_round);
+  refresh_board(result, round, sim_time_s);
 }
 
 void RunMonitor::on_eval(std::uint32_t task, double cumulative_accuracy) {
@@ -434,12 +416,7 @@ void RunMonitor::on_eval(std::uint32_t task, double cumulative_accuracy) {
 
 void RunMonitor::finalize(RunResult& result) {
   result.health = health_.events();
-  const auto ts = timeseries_.summary();
   result.monitor.enabled = true;
-  result.monitor.samples_taken = ts.taken;
-  result.monitor.samples_retained = ts.retained;
-  result.monitor.samples_capacity = ts.capacity;
-  result.monitor.alerts = result.health.size();
   result.monitor.healthy_at_end = health_.healthy();
 
   ProgressSnapshot snap = board_.get();
@@ -457,14 +434,12 @@ void RunMonitor::finalize(RunResult& result) {
 }
 
 void RunMonitor::refresh_board(const RunResult& result,
-                               const RoundStats* round, double sim_time_s) {
+                               const RoundStats& round, double sim_time_s) {
   ProgressSnapshot snap = board_.get();
-  if (round != nullptr) {
-    snap.task = round->task;
-    snap.round_in_task = static_cast<std::uint64_t>(round->round) + 1;
-    ++snap.rounds_done;
-    snap.participants += round->selected;
-  }
+  snap.task = round.task;
+  snap.round_in_task = static_cast<std::uint64_t>(round.round) + 1;
+  ++snap.rounds_done;
+  snap.participants += round.selected;
   const NetworkStats& net = result.network;
   snap.bytes_down = net.bytes_down;
   snap.bytes_up = net.bytes_up;

@@ -1,10 +1,9 @@
 // Live health & anomaly monitoring for a federated run.
 //
 // Post-mortem traces tell you a run went wrong; a health monitor tells you
-// *while it is still running*. A RunMonitor bundles the three live views the
+// *while it is still running*. A RunMonitor bundles the two live views the
 // runner feeds at round boundaries:
 //
-//   * a TimeSeries store (util/timeseries.hpp) sampling the metrics registry,
 //   * a HealthMonitor evaluating pluggable per-round detectors,
 //   * a ProgressBoard the exposition server (util/expo.hpp) renders as
 //     /progress JSON and /metrics extras.
@@ -40,13 +39,11 @@
 #include <utility>
 #include <vector>
 
-#include "reffil/util/timeseries.hpp"
+#include "reffil/util/obs.hpp"
 
 namespace reffil::fed {
 
 struct MonitorConfig {
-  std::size_t timeseries_capacity = 512;  ///< retained TimePoint rows
-  double wallclock_interval_s = 5.0;      ///< mid-round sampling cadence
   // Detector knobs; a non-positive value disables that detector.
   double norm_z = 4.0;             ///< z-score threshold for norm drift
   std::size_t norm_window = 8;     ///< trailing rounds in the norm baseline
@@ -58,8 +55,9 @@ struct MonitorConfig {
   std::size_t recovery_rounds = 5; ///< clean rounds until healthy again
 
   /// Parse a comma-separated "key=value" spec (keys above, e.g.
-  /// "quarantine_rate=0.1,latency_slo=2.5,norm_z=3"). Unknown keys or
-  /// unparsable values throw ConfigError; empty spec yields the defaults.
+  /// "quarantine_rate=0.1,latency_slo=2.5,norm_z=3"). Unknown keys,
+  /// unparsable or non-finite values, and counts that are not whole or do
+  /// not fit a size_t throw ConfigError; empty spec yields the defaults.
   static MonitorConfig parse(const std::string& spec);
 };
 
@@ -76,13 +74,10 @@ struct HealthEvent {
 };
 
 /// Compact monitor accounting carried on the RunResult (and the cache) so
-/// post-hoc tools know a run was monitored and how much history survived.
+/// post-hoc tools know a run was monitored and how it ended. The firings
+/// themselves are RunResult::health.
 struct MonitorSummary {
   bool enabled = false;
-  std::uint64_t samples_taken = 0;     ///< time-series rows ever recorded
-  std::uint64_t samples_retained = 0;  ///< of which still in the ring
-  std::uint64_t samples_capacity = 0;
-  std::uint64_t alerts = 0;            ///< detector firings over the run
   bool healthy_at_end = true;
 };
 
@@ -94,16 +89,11 @@ struct RoundObservation {
   std::uint32_t round = 0;
   std::uint64_t global_round = 0;
   std::uint32_t selected = 0;
-  std::uint32_t accepted = 0;
-  std::uint32_t dropped = 0;
   std::uint32_t quarantined = 0;
-  std::uint32_t timed_out = 0;
   double round_seconds = 0.0;  ///< train + aggregate wall time
-  double sim_time_s = 0.0;
-  // Moments of the accepted updates' model-state L2 norms (Welford):
+  // Mean of the accepted updates' model-state L2 norms:
   std::uint32_t norm_count = 0;
   double norm_mean = 0.0;
-  double norm_m2 = 0.0;  ///< sum of squared deviations from norm_mean
 };
 
 class HealthMonitor {
@@ -195,33 +185,28 @@ class ProgressBoard {
 struct RunResult;
 struct RoundStats;
 
-/// Welford accumulator the runner's uplink sweep feeds with per-update
-/// model-state L2 norms (fed::update_state_l2_norm).
+/// Running mean the runner's uplink sweep feeds with per-update model-state
+/// L2 norms (fed::update_state_l2_norm).
 struct NormAccumulator {
   std::uint32_t count = 0;
   double mean = 0.0;
-  double m2 = 0.0;
 
   void add(double x) {
     ++count;
-    const double d = x - mean;
-    mean += d / static_cast<double>(count);
-    m2 += d * (x - mean);
+    mean += (x - mean) / static_cast<double>(count);
   }
 };
 
-/// The bundle a monitored run carries: time series + health + progress.
+/// The bundle a monitored run carries: health + progress.
 /// Created by the driver (reffil_run --serve-metrics), handed to the runner
 /// via RunConfig::monitor, read by the exposition server. All hooks are
-/// cheap (mutex + map copy at round cadence) and rng-free.
+/// cheap (a mutex and a board copy at round cadence) and rng-free.
 class RunMonitor {
  public:
   explicit RunMonitor(MonitorConfig config);
 
-  obs::TimeSeries& timeseries() { return timeseries_; }
   HealthMonitor& health() { return health_; }
   ProgressBoard& board() { return board_; }
-  const MonitorConfig& config() const { return config_; }
 
   // -- runner hooks ----------------------------------------------------------
   void on_run_start(const std::string& method, const std::string& dataset,
@@ -231,20 +216,15 @@ class RunMonitor {
   void on_round(const RunResult& result, const RoundStats& round,
                 std::uint64_t global_round, double sim_time_s,
                 const NormAccumulator& norms);
-  /// Wall-clock sampling between a long round's waves: at most one sample
-  /// per MonitorConfig::wallclock_interval_s, counted from the run start.
-  void on_wave(double sim_time_s, std::uint64_t global_round);
   void on_eval(std::uint32_t task, double cumulative_accuracy);
-  /// Marks the board done and copies the health log + time-series summary
-  /// into the result (RunResult::health / RunResult::monitor).
+  /// Marks the board done and copies the health log and final status into
+  /// the result (RunResult::health / RunResult::monitor).
   void finalize(RunResult& result);
 
  private:
-  void refresh_board(const RunResult& result, const RoundStats* round,
+  void refresh_board(const RunResult& result, const RoundStats& round,
                      double sim_time_s);
 
-  MonitorConfig config_;
-  obs::TimeSeries timeseries_;
   HealthMonitor health_;
   ProgressBoard board_;
   obs::Histogram round_latency_;  ///< this run's per-round train+agg seconds

@@ -73,6 +73,8 @@ TrainedClients train_participants(
                          std::vector<double>(n, 0.0),
                          std::vector<std::size_t>(n, 0)};
   std::atomic<std::size_t> next{0};
+  static obs::Histogram& train_client_seconds =
+      obs::histogram("cl.train_client_seconds");
   util::global_thread_pool().parallel_for(
       std::min(slots, n), [&](std::size_t slot) {
         for (std::size_t k = next++; k < n; k = next++) {
@@ -91,6 +93,7 @@ TrainedClients train_participants(
                                    std::chrono::steady_clock::now() -
                                    client_start)
                                    .count();
+          train_client_seconds.observe(trained.seconds[i]);
           trained.slots[i] = slot;
         }
       });
@@ -581,13 +584,6 @@ RunResult FederatedRunner::run(Method& method) {
             buffered.push_back(std::move(updates[i]));
           }
         }
-        if (monitor != nullptr && end < events.size()) {
-          // Long rounds over huge cohorts would otherwise leave the live
-          // view stale between round boundaries; sample on a wall-clock
-          // cadence while waves drain (no-op within the interval). After the
-          // last wave the round commit samples instead.
-          monitor->on_wave(sim_time, result.rounds.size());
-        }
       }
       round_span.finish();
       train_time.observe(round_stats.train_seconds);
@@ -672,13 +668,7 @@ RunResult FederatedRunner::run(Method& method) {
                    .field("forced_rounds", scheduler.forced_rounds()));
   }
   finish_run(result, tracing);
-  if (monitor != nullptr) {
-    // One closing sample so the final time-series row carries the run-end
-    // registry totals (fed.bytes_up etc.), then snapshot health into result.
-    monitor->timeseries().sample(scheduler.round_start_s(global_round),
-                                 result.rounds.size());
-    monitor->finalize(result);
-  }
+  if (monitor != nullptr) monitor->finalize(result);
   return result;
 }
 

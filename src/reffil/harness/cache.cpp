@@ -108,10 +108,6 @@ void serialize_run_result(const fed::RunResult& result, util::ByteWriter& writer
     writer.write_string(event.detail);
   }
   writer.write_u32(result.monitor.enabled ? 1 : 0);
-  writer.write_u64(result.monitor.samples_taken);
-  writer.write_u64(result.monitor.samples_retained);
-  writer.write_u64(result.monitor.samples_capacity);
-  writer.write_u64(result.monitor.alerts);
   writer.write_u32(result.monitor.healthy_at_end ? 1 : 0);
 }
 
@@ -194,10 +190,6 @@ fed::RunResult deserialize_run_result(util::ByteReader& reader) {
     result.health.push_back(std::move(event));
   }
   result.monitor.enabled = reader.read_u32() != 0;
-  result.monitor.samples_taken = reader.read_u64();
-  result.monitor.samples_retained = reader.read_u64();
-  result.monitor.samples_capacity = reader.read_u64();
-  result.monitor.alerts = reader.read_u64();
   result.monitor.healthy_at_end = reader.read_u32() != 0;
   return result;
 }

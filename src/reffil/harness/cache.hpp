@@ -30,9 +30,11 @@ bool cache_enabled();
 /// per-round stats vector; v3 added the transport-fault counters
 /// (quarantined/retries/timed_out/bytes_retransmitted at both granularities);
 /// v4 added the compression string and the raw-equivalent byte counters
-/// (bytes_down_raw_equiv/bytes_up_raw_equiv).
+/// (bytes_down_raw_equiv/bytes_up_raw_equiv); v5 added the health log and
+/// the monitor summary; v6 dropped the summary's time-series sample counts
+/// and its alert count (the health log's length).
 inline constexpr std::uint32_t kCacheMagic = 0x4C464652u;  // "RFFL"
-inline constexpr std::uint32_t kCacheVersion = 5;
+inline constexpr std::uint32_t kCacheVersion = 6;
 
 /// Stable key for one experiment cell. `fault_tag` is the canonical
 /// FaultProfile::tag() of the run, with DesConfig::tag() appended when the

@@ -66,7 +66,6 @@ void count_metrics(bool hit, std::size_t n) {
     // inside a hot span means the pool is being bypassed there.
     obs::prof::emit_instant(hit ? "pool.hit" : "pool.miss", n * sizeof(float));
   }
-  if (!obs::metrics_enabled()) return;
   // Registry references are stable for the process lifetime (obs.hpp), so
   // the mutex-guarded lookup happens once.
   static obs::Counter& hits = obs::counter("tensor.pool.hit");

@@ -6,8 +6,7 @@
 //  * Metrics — named counters / gauges / histograms with relaxed-atomic
 //    updates, aggregated in place. Handles returned by the registry are
 //    stable for the process lifetime, so hot paths look a metric up once and
-//    then pay one atomic op per update. `ScopedTimer` records a wall-time
-//    histogram sample on scope exit.
+//    then pay one atomic op per update.
 //  * Trace — a JSONL event stream (one self-describing object per line)
 //    written to the path in the REFFIL_TRACE environment variable (or set
 //    programmatically). The federated runner emits broadcast / client_train /
@@ -142,37 +141,11 @@ class Registry {
   std::map<std::string, std::unique_ptr<Histogram>, std::less<>> histograms_;
 };
 
-/// Global metrics switch. Default on (updates are a relaxed atomic op); the
-/// helpers below and ScopedTimer become no-ops — including the clock reads —
-/// when disabled.
-bool metrics_enabled();
-void set_metrics_enabled(bool enabled);
-
 /// Convenience shorthands over Registry::instance().
 Counter& counter(std::string_view name);
 Gauge& gauge(std::string_view name);
 Histogram& histogram(std::string_view name);
 void count(std::string_view name, std::uint64_t n = 1);
-
-/// Records elapsed wall seconds into a histogram when the scope closes (or
-/// at the explicit stop()). A null histogram or disabled metrics makes the
-/// timer free: no clock read, no record.
-class ScopedTimer {
- public:
-  explicit ScopedTimer(Histogram* sink);
-  explicit ScopedTimer(std::string_view name) : ScopedTimer(&histogram(name)) {}
-  ~ScopedTimer() { stop(); }
-  ScopedTimer(const ScopedTimer&) = delete;
-  ScopedTimer& operator=(const ScopedTimer&) = delete;
-
-  /// Record once and return elapsed seconds (0 when disarmed).
-  double stop();
-
- private:
-  Histogram* sink_;
-  std::chrono::steady_clock::time_point start_;
-  bool armed_;
-};
 
 // ---- trace -----------------------------------------------------------------
 

@@ -21,22 +21,18 @@ thread_local bool tls_in_pool_task = false;
 // the same signals as counter/instant events on the worker's timeline.
 void note_dequeue(std::chrono::steady_clock::time_point enqueued,
                   std::size_t depth_after_pop) {
-  if (obs::metrics_enabled()) {
-    const double wait =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      enqueued)
-            .count();
-    static obs::Histogram& wait_hist =
-        obs::histogram("pool.task_wait_seconds");
-    static obs::Gauge& depth_gauge = obs::gauge("pool.queue_depth");
-    wait_hist.observe(wait);
-    depth_gauge.set(static_cast<double>(depth_after_pop));
-    if (obs::prof::enabled()) {
-      obs::prof::emit_counter("pool.queue_depth", depth_after_pop);
-      obs::prof::emit_instant(
-          "pool.task_wait_us",
-          static_cast<std::uint64_t>(wait * 1e6));
-    }
+  const double wait =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                    enqueued)
+          .count();
+  static obs::Histogram& wait_hist = obs::histogram("pool.task_wait_seconds");
+  static obs::Gauge& depth_gauge = obs::gauge("pool.queue_depth");
+  wait_hist.observe(wait);
+  depth_gauge.set(static_cast<double>(depth_after_pop));
+  if (obs::prof::enabled()) {
+    obs::prof::emit_counter("pool.queue_depth", depth_after_pop);
+    obs::prof::emit_instant("pool.task_wait_us",
+                            static_cast<std::uint64_t>(wait * 1e6));
   }
 }
 

@@ -1,6 +1,6 @@
 // Observability smoke tests: metric registry semantics, concurrent counter
-// exactness (the TSan job exercises this file like every other test), the
-// scoped timer, and the JSONL trace — including the invariant the CI check
+// exactness (the TSan job exercises this file like every other test), and
+// the JSONL trace — including the invariant the CI check
 // relies on: per-event byte totals reconcile exactly with RunResult::network.
 #include <gtest/gtest.h>
 
@@ -77,33 +77,6 @@ TEST(ObsMetrics, ConcurrentHistogramSumIsExact) {
   const auto stats = h.stats();
   EXPECT_EQ(stats.count, kThreads * kPerThread);
   EXPECT_DOUBLE_EQ(stats.sum, 0.25 * static_cast<double>(kThreads * kPerThread));
-}
-
-TEST(ObsMetrics, ScopedTimerRecordsElapsed) {
-  obs::Histogram& h = obs::histogram("test.timer");
-  h.reset();
-  {
-    obs::ScopedTimer timer(&h);
-    volatile double sink = 0.0;
-    for (int i = 0; i < 1000; ++i) sink = sink + 1.0;
-  }
-  ASSERT_EQ(h.stats().count, 1u);
-  EXPECT_GE(h.stats().min, 0.0);
-}
-
-TEST(ObsMetrics, DisabledMetricsSkipHelpers) {
-  obs::Counter& c = obs::counter("test.disabled");
-  c.reset();
-  obs::set_metrics_enabled(false);
-  obs::count("test.disabled", 10);
-  {
-    obs::ScopedTimer timer("test.disabled_timer");
-    EXPECT_DOUBLE_EQ(timer.stop(), 0.0);
-  }
-  obs::set_metrics_enabled(true);
-  EXPECT_EQ(c.value(), 0u);
-  obs::count("test.disabled", 3);
-  EXPECT_EQ(c.value(), 3u);
 }
 
 TEST(ObsMetrics, SnapshotContainsRegisteredNames) {
@@ -256,8 +229,16 @@ TEST(ObsTrace, RunTraceReconcilesWithRunResult) {
                                .parallelism = 2,
                                .seed = 9,
                                .dropout_probability = 0.3});
+  const std::uint64_t timed_before =
+      obs::histogram("cl.train_client_seconds").stats().count;
+  const std::uint64_t trained_before =
+      obs::counter("cl.clients_trained").value();
   const fed::RunResult result = runner.run(*method);
   obs::set_trace_path("");  // close the sink so the file is complete
+  const std::uint64_t timed =
+      obs::histogram("cl.train_client_seconds").stats().count - timed_before;
+  const std::uint64_t trained =
+      obs::counter("cl.clients_trained").value() - trained_before;
 
   std::ifstream in(path);
   ASSERT_TRUE(in.is_open());
@@ -269,7 +250,7 @@ TEST(ObsTrace, RunTraceReconcilesWithRunResult) {
 
   // Every line is one JSON object with an event type.
   std::uint64_t bytes_down = 0, bytes_up = 0, dropped = 0;
-  std::size_t evals = 0, run_ends = 0;
+  std::size_t client_trains = 0, evals = 0, run_ends = 0;
   for (const auto& line : lines) {
     EXPECT_EQ(line.front(), '{') << line;
     EXPECT_EQ(line.back(), '}') << line;
@@ -282,6 +263,7 @@ TEST(ObsTrace, RunTraceReconcilesWithRunResult) {
       const auto v = json_number(line, "bytes_up");
       ASSERT_TRUE(v.has_value()) << line;
       bytes_up += static_cast<std::uint64_t>(*v);
+      ++client_trains;
       EXPECT_GE(*json_number(line, "wall_s"), 0.0) << line;
       EXPECT_NE(line.find("\"group\":\""), std::string::npos) << line;
     } else if (is_event(line, "dropout")) {
@@ -306,6 +288,10 @@ TEST(ObsTrace, RunTraceReconcilesWithRunResult) {
   EXPECT_EQ(dropped, result.network.dropped_updates);
   EXPECT_EQ(evals, 1u + 2u);  // task 0 evaluates 1 domain, task 1 evaluates 2
   EXPECT_EQ(run_ends, 1u);
+  // The runner times every trained client once into cl.train_client_seconds.
+  EXPECT_GT(client_trains, 0u);
+  EXPECT_EQ(trained, client_trains);
+  EXPECT_EQ(timed, client_trains);
 
   // The RoundStats breakdown carried by the result agrees with both.
   std::uint64_t round_down = 0, round_up = 0, round_dropped = 0;

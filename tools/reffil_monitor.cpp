@@ -10,9 +10,11 @@
 // done (or immediately with --once).
 //
 // Options:
-//   --port N        connect to 127.0.0.1:N (default 9100)
+//   --port N        connect to 127.0.0.1:N, a decimal port in 1..65535
+//                   (default 9100)
 //   --host H        connect to H instead of 127.0.0.1
-//   --interval S    poll every S seconds (default 1.0)
+//   --interval S    poll every S seconds, a finite number > 0 (default 1.0;
+//                   the poll period is clamped to 0.05..3600 s)
 //   --once          print a single snapshot and exit
 //   --no-clear      append screens instead of redrawing in place
 #include <arpa/inet.h>
@@ -22,10 +24,14 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <cerrno>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <optional>
 #include <string>
 #include <thread>
 
@@ -41,6 +47,28 @@ int usage(const char* argv0) {
                "[--no-clear]\n",
                argv0);
   return 2;
+}
+
+// Strict flag values: the whole string must parse, so "--port 9137abc" or
+// "--interval abc" is an error rather than a wrapped port or a default.
+std::optional<int> parse_port(const char* text) {
+  if (*text < '0' || *text > '9') return std::nullopt;  // no sign, no space
+  char* end = nullptr;
+  errno = 0;
+  const unsigned long long v = std::strtoull(text, &end, 10);
+  if (*end != '\0' || errno == ERANGE || v == 0 || v > 65535) {
+    return std::nullopt;
+  }
+  return static_cast<int>(v);
+}
+
+std::optional<double> parse_interval(const char* text) {
+  char* end = nullptr;
+  const double v = std::strtod(text, &end);
+  if (end == text || *end != '\0' || !std::isfinite(v) || !(v > 0.0)) {
+    return std::nullopt;
+  }
+  return v;
 }
 
 /// Minimal blocking HTTP/1.1 GET against host:port; returns the response
@@ -200,7 +228,13 @@ int main(int argc, char** argv) {
     if (arg == "--port") {
       const char* v = next();
       if (!v) return usage(argv[0]);
-      port = static_cast<int>(std::strtol(v, nullptr, 10));
+      const auto parsed = parse_port(v);
+      if (!parsed) {
+        std::fprintf(stderr, "bad --port '%s': expected a decimal port in "
+                             "1..65535\n", v);
+        return 2;
+      }
+      port = *parsed;
     } else if (arg == "--host") {
       const char* v = next();
       if (!v) return usage(argv[0]);
@@ -208,7 +242,13 @@ int main(int argc, char** argv) {
     } else if (arg == "--interval") {
       const char* v = next();
       if (!v) return usage(argv[0]);
-      interval_s = std::strtod(v, nullptr);
+      const auto parsed = parse_interval(v);
+      if (!parsed) {
+        std::fprintf(stderr, "bad --interval '%s': expected a finite number "
+                             "of seconds > 0\n", v);
+        return 2;
+      }
+      interval_s = *parsed;
     } else if (arg == "--once") {
       once = true;
     } else if (arg == "--no-clear") {
@@ -218,11 +258,6 @@ int main(int argc, char** argv) {
       return usage(argv[0]);
     }
   }
-  if (port <= 0 || port > 65535) {
-    std::fprintf(stderr, "bad port %d\n", port);
-    return 2;
-  }
-
   int misses = 0;
   for (;;) {
     const std::string body = http_get(host, port, "/progress", 2000);
@@ -254,6 +289,6 @@ int main(int argc, char** argv) {
       }
     }
     std::this_thread::sleep_for(
-        std::chrono::duration<double>(interval_s > 0.05 ? interval_s : 0.05));
+        std::chrono::duration<double>(std::clamp(interval_s, 0.05, 3600.0)));
   }
 }

@@ -37,11 +37,10 @@
 //                     long after the run so a scraper can read the final
 //                     state (GET /quitquitquit ends the linger early).
 //   --monitor SPEC    arm live telemetry without the HTTP server; SPEC is a
-//                     comma-separated key=value list (capacity=N,interval=S,
-//                     norm_z=Z,norm_window=N,quarantine_rate=P,latency_slo=S,
-//                     slo_burn=P,slo_window=N,accuracy_drop=PTS,
-//                     recovery_rounds=N) — see fed/health.hpp. Empty SPEC ("")
-//                     uses the defaults.
+//                     comma-separated key=value list (norm_z=Z,norm_window=N,
+//                     quarantine_rate=P,latency_slo=S,slo_burn=P,
+//                     slo_window=N,accuracy_drop=PTS,recovery_rounds=N) — see
+//                     fed/health.hpp. Empty SPEC ("") uses the defaults.
 //   --json            machine-readable output (includes a "health" block for
 //                     monitored runs, and the resolved worker-slot count
 //                     "parallelism" beside the pool's "pool_threads")
@@ -215,10 +214,6 @@ void print_json(const fed::RunResult& result, std::size_t parallelism) {
   health += ",\"healthy\":";
   health += result.monitor.healthy_at_end ? "true" : "false";
   health += ",\"alerts\":" + std::to_string(result.health.size());
-  health += ",\"samples_taken\":" +
-            std::to_string(result.monitor.samples_taken);
-  health += ",\"samples_retained\":" +
-            std::to_string(result.monitor.samples_retained);
   health += ",\"events\":[";
   for (std::size_t i = 0; i < result.health.size(); ++i) {
     const auto& e = result.health[i];
